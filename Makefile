@@ -1,7 +1,8 @@
 # latencyhide — build / test / reproduce targets
 
 GO ?= go
-BENCH_BASELINE ?= BENCH_1.json
+# The newest committed record (version-sorted, so BENCH_10 follows BENCH_9).
+BENCH_BASELINE ?= $(or $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1),BENCH_1.json)
 BENCH_PATTERN  ?= Engine|Telemetry|FaultQuery
 BENCH_TIME     ?= 3x
 

@@ -156,9 +156,10 @@ func (a *adaptState) harvest(c *chunk, boundary int64, cands []adapt.Candidate) 
 			if oc.dormant {
 				continue
 			}
+			nbs := p.cold[i].neighbors
 			for j := range p.blame[i].dep {
 				if p.blame[i].dep[j] > 0 {
-					blame[oc.neighbors[j]] += p.blame[i].dep[j]
+					blame[nbs[j]] += p.blame[i].dep[j]
 				}
 			}
 			if oc.next <= c.T && oc.missing > 0 {
@@ -168,9 +169,9 @@ func (a *adaptState) harvest(c *chunk, boundary int64, cands []adapt.Candidate) 
 				}
 				if dur := boundary - from; dur > 0 {
 					dep := oc.next - 1
-					for j := range oc.neighbors {
-						if !p.know.has(oc.nbDense[j], dep) {
-							blame[oc.neighbors[j]] += dur
+					for j, d := range c.nbDense[oc.dep : oc.dep+oc.deg] {
+						if !p.know.has(d, dep) {
+							blame[nbs[j]] += dur
 						}
 					}
 				}

@@ -9,11 +9,6 @@ import (
 	"latencyhide/internal/telemetry"
 )
 
-// kkey packs a (column, step) pair into a map key. The engine itself no
-// longer hashes — knowledge lives in the dense generation-indexed store
-// (dense.go) — but the u64map oracle tests still key it this way.
-func kkey(col, step int32) uint64 { return uint64(uint32(col))<<32 | uint64(uint32(step)) }
-
 // msg is one pebble value in transit along a route. next carries the next
 // destination's absolute position so relays never load the route record or
 // decode the chain — field alignment keeps the struct at 24 bytes with or
@@ -99,7 +94,10 @@ func (l *dlink) popInflight() msg {
 }
 
 // ownedCol is one database replica held by a workstation, together with the
-// greedy progress state for its pebble column.
+// greedy progress state for its pebble column. It holds only what the
+// per-pebble path touches and fits one 64-byte cache line: the per-neighbor
+// state lives in the chunk's flat arenas at [dep, dep+deg), and the lists
+// read at most once per compute live in the proc's cold array.
 type ownedCol struct {
 	col       int32
 	selfDense int32  // col's index in the proc's dense knowledge store
@@ -107,20 +105,9 @@ type ownedCol struct {
 	missing   int32  // unknown dependencies for step `next`
 	lastVal   uint64 // value at step next-1 (own column, computed locally)
 	db        guest.Database
-	neighbors []int32 // guest-neighbor columns, ascending
-	nbDense   []int32 // dense store indexes, parallel to neighbors
-	routes    []int32 // routes this position feeds for this column
-	// depVals caches the dependency values for step `next`, parallel to
-	// neighbors. Slots are filled when the column advances (value already
-	// known) or pushed by recordValue when the awaited value lands, so the
-	// compute gather never probes the knowledge table.
-	depVals []uint64
-	// Release lists, precomputed at init so the per-pebble retention check
-	// needs no lookups: the owned indexes that consume this column's values
-	// and, parallel to neighbors, the owned indexes consuming each
-	// neighbor's values.
-	consSelf []int32
-	consNb   [][]int32
+	// dep is the column's offset into the chunk's depVals and nbDense
+	// arenas; deg, its guest degree, is how many entries it owns there.
+	dep, deg int32
 
 	// Adaptive replication (Config.Adapt; see adapt.go). standby marks a
 	// provisioned extra replica, appended after the base columns; dormant
@@ -130,6 +117,14 @@ type ownedCol struct {
 	// struct stays compact on fault-free runs.
 	standby bool
 	dormant bool
+}
+
+// colCold is the part of a column's state the per-pebble path reads at most
+// once per compute, kept off the hot ownedCol line (proc.cold, parallel to
+// cols).
+type colCold struct {
+	neighbors []int32 // guest-neighbor columns, ascending
+	routes    []int32 // routes this position feeds for this column
 }
 
 // colBlame is one column's stall forensics (adaptive runs only, harvested
@@ -155,9 +150,14 @@ type waitNode struct {
 type proc struct {
 	pos  int32
 	cols []ownedCol
+	cold []colCold // parallel to cols
 	// know is the dense knowledge store: known values and pending-waiter
 	// anchors, indexed by (dense column, step) — see dense.go.
-	know      denseKnow
+	know denseKnow
+	// consumers[d] counts the local column references that read dense
+	// column d's values — each column reads its own and each neighbor's —
+	// which is the pending count every stored value of d starts with.
+	consumers []int32
 	waitPool  []waitNode
 	waitFree  int32 // freelist head, -1 when empty
 	ready     readyQueue
@@ -254,9 +254,21 @@ type chunk struct {
 	traceComputes []int64
 	traceHops     []int64
 
+	// depVals and nbDense are the columns' per-neighbor arenas, in position
+	// then column order; ownedCol.dep..dep+deg is one column's share.
+	// depVals caches the dependency values for step `next`: filled when the
+	// column advances (value already known) or pushed by recordValue when
+	// the awaited value lands, so the compute gather never probes the
+	// knowledge table. nbDense holds the neighbors' dense store indexes.
+	depVals []uint64
+	nbDense []int32
+
 	// deliverTap, when non-nil (tests only), observes every counted
 	// delivery; a single nil check on the hot path.
 	deliverTap func(pos int, col, step int32, value uint64)
+	// retireOverride, when non-nil (tests only), replaces the per-compute
+	// retirement so a test can run an oracle in its place.
+	retireOverride func(c *chunk, p *proc, idx, t int32)
 
 	// event buffer (Config.Recorder != nil); chunks never share a buffer,
 	// so the parallel engine records race-free. collect() merges and
@@ -285,29 +297,50 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		now:         1,
 		txFlag:      make([]bool, 2*n),
 		traceWindow: cfg.TraceWindow,
+		adaptOn:     cfg.ast != nil,
+
+		retireOverride: cfg.retireOverride,
 	}
 	if cfg.Recorder != nil {
 		c.buf = obs.NewBuffer()
 	}
 	c.procs = make([]proc, hi-lo)
 	factory := cfg.Guest.Factory()
-	c.adaptOn = cfg.ast != nil
+	nbs := cfg.Guest.Graph.Neighbors
+	extraAt := func(pos int) []int {
+		if c.adaptOn {
+			return cfg.ast.extraCols[pos]
+		}
+		return nil
+	}
+	// One counting pass sizes the per-neighbor arenas exactly, so the fill
+	// below never grows a slice.
+	deps := 0
+	for pos := lo; pos < hi; pos++ {
+		for _, cols := range [2][]int{cfg.Assign.Owned[pos], extraAt(pos)} {
+			for _, col := range cols {
+				deps += len(nbs(col))
+			}
+		}
+	}
+	c.depVals = make([]uint64, deps)
+	c.nbDense = make([]int32, deps)
+	nbCols := make([]int32, deps)
+	off := 0
 	for pos := lo; pos < hi; pos++ {
 		p := &c.procs[pos-lo]
 		p.pos = int32(pos)
-		owned := cfg.Assign.Owned[pos]
-		var extra []int
-		if c.adaptOn {
-			extra = cfg.ast.extraCols[pos]
-		}
-		p.cols = make([]ownedCol, len(owned)+len(extra))
-		universe := colUniverse(cfg.Guest.Graph.Neighbors, unionCols(owned, extra))
-		p.know = newDenseKnow(universe)
-		p.waitFree = -1
+		owned, extra := cfg.Assign.Owned[pos], extraAt(pos)
 		allCols := owned
 		if len(extra) > 0 {
 			allCols = append(append(make([]int, 0, len(owned)+len(extra)), owned...), extra...)
 		}
+		p.cols = make([]ownedCol, len(allCols))
+		p.cold = make([]colCold, len(allCols))
+		universe := colUniverse(nbs, allCols)
+		p.know = newDenseKnow(universe)
+		p.consumers = make([]int32, len(universe))
+		p.waitFree = -1
 		if c.adaptOn {
 			p.blame = make([]colBlame, len(p.cols))
 		}
@@ -317,20 +350,24 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 			oc.selfDense = denseIndex(universe, oc.col)
 			oc.next = 1
 			oc.db = factory(col, cfg.Guest.Seed)
-			for _, nb := range cfg.Guest.Graph.Neighbors(col) {
-				oc.neighbors = append(oc.neighbors, int32(nb))
-				oc.nbDense = append(oc.nbDense, denseIndex(universe, int32(nb)))
-			}
-			// Step-1 dependencies are the initial values, known up front.
-			oc.depVals = make([]uint64, len(oc.neighbors))
-			for j, nb := range oc.neighbors {
-				oc.depVals[j] = cfg.Guest.InitialValue(int(nb))
+			p.consumers[oc.selfDense]++
+			nb := nbs(col)
+			oc.dep, oc.deg = int32(off), int32(len(nb))
+			p.cold[i].neighbors = nbCols[off : off+len(nb) : off+len(nb)]
+			for _, n := range nb {
+				d := denseIndex(universe, int32(n))
+				nbCols[off] = int32(n)
+				c.nbDense[off] = d
+				// Step-1 dependencies are the initial values, known up front.
+				c.depVals[off] = cfg.Guest.InitialValue(n)
+				p.consumers[d]++
+				off++
 			}
 			if c.adaptOn {
-				p.blame[i].dep = make([]int64, len(oc.neighbors))
+				p.blame[i].dep = make([]int64, len(nb))
 			}
 			if i < len(owned) {
-				oc.routes = rt.routesFor(pos, i)
+				p.cold[i].routes = rt.routesFor(pos, i)
 				p.remaining += int64(c.T)
 			} else {
 				// Standby replica: dormant, no routes (standbys never send),
@@ -340,25 +377,6 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 					p.dupDense = make([]bool, len(universe))
 				}
 				p.dupDense[oc.selfDense] = true
-			}
-		}
-		// consumers: owned column c' consumes its own values and its
-		// guest neighbors' values. Resolve the lookup once into the
-		// per-column release lists so the hot path never consults a map.
-		consumers := make(map[int32][]int32, len(owned))
-		for i := range p.cols {
-			oc := &p.cols[i]
-			consumers[oc.col] = append(consumers[oc.col], int32(i))
-			for _, nb := range oc.neighbors {
-				consumers[nb] = append(consumers[nb], int32(i))
-			}
-		}
-		for i := range p.cols {
-			oc := &p.cols[i]
-			oc.consSelf = consumers[oc.col]
-			oc.consNb = make([][]int32, len(oc.neighbors))
-			for j, nb := range oc.neighbors {
-				oc.consNb[j] = consumers[nb]
 			}
 		}
 		// All step-0 values are initial state, known everywhere, so every
@@ -544,14 +562,14 @@ func (c *chunk) deliverValue(pos int, route int32, col, dense, step int32, value
 // recordValue inserts a known value and unblocks any owned columns waiting
 // on it. Used both for network deliveries and locally computed pebbles.
 func (c *chunk) recordValue(p *proc, dense, step int32, value uint64) {
-	head := p.know.put(dense, step, value)
+	head := p.know.put(dense, step, value, p.consumers[dense])
 	if p.crashed {
 		return // still relays and stores, but never schedules work again
 	}
 	for ni := head; ni >= 0; {
 		n := &p.waitPool[ni]
 		oc := &p.cols[n.idx]
-		oc.depVals[n.slot] = value
+		c.depVals[oc.dep+n.slot] = value
 		oc.missing--
 		if oc.missing == 0 {
 			if c.adaptOn {
@@ -592,15 +610,16 @@ func (c *chunk) computeOne(p *proc) bool {
 		panic(fmt.Sprintf("sim: ready entry step %d != next %d for col %d at pos %d",
 			t, oc.next, oc.col, p.pos))
 	}
-	// Dependency values at step t-1 live in oc.depVals, filled when the
-	// column advanced (or prefilled with initial values for t == 1).
+	// Dependency values at step t-1 live in the column's depVals share,
+	// filled when it advanced (or prefilled with initial values for t == 1).
+	deps := c.depVals[oc.dep : oc.dep+oc.deg]
 	var self uint64
 	if t == 1 {
 		self = c.cfg.Guest.InitialValue(int(oc.col))
 	} else {
 		self = oc.lastVal
 	}
-	v := c.cfg.Guest.Compute(oc.db.Digest(), int(oc.col), int(t), self, oc.depVals)
+	v := c.cfg.Guest.Compute(oc.db.Digest(), int(oc.col), int(t), self, deps)
 	oc.db.Apply(guest.Update{Node: int(oc.col), Step: int(t), Val: v})
 	oc.lastVal = v
 	p.computed++
@@ -623,7 +642,7 @@ func (c *chunk) computeOne(p *proc) bool {
 		if !oc.standby || !p.know.has(oc.selfDense, t) {
 			c.recordValue(p, oc.selfDense, t, v)
 		}
-		for _, rid := range oc.routes {
+		for _, rid := range p.cold[idx].routes {
 			r := &c.rt.routes[rid]
 			next := p.pos + c.rt.chainArena[r.off]
 			if r.dir < 0 {
@@ -634,16 +653,14 @@ func (c *chunk) computeOne(p *proc) bool {
 		}
 	}
 
-	// Advance to step t+1 before retiring: the computing column is its own
-	// consumer, so the release checks below must see it already past step t
-	// or nothing would ever retire.
 	oc.next = t + 1
 
-	// Release step t-1 dependency values no local column still needs.
+	// This compute was the last read of the step t-1 values it consumed.
 	if t >= 2 {
-		c.release(p, oc.consSelf, oc.selfDense, t-1)
-		for j := range oc.neighbors {
-			c.release(p, oc.consNb[j], oc.nbDense[j], t-1)
+		if c.retireOverride != nil {
+			c.retireOverride(c, p, idx, t)
+		} else {
+			c.retire(p, oc, t-1)
 		}
 	}
 
@@ -652,12 +669,12 @@ func (c *chunk) computeOne(p *proc) bool {
 	}
 	missing := int32(0)
 	// Self value (oc.col, t) was stored above (t < T here since next <= T).
-	for j := range oc.neighbors {
-		if dv, ok := p.know.get(oc.nbDense[j], t); ok {
-			oc.depVals[j] = dv
+	for j, d := range c.nbDense[oc.dep : oc.dep+oc.deg] {
+		if dv, ok := p.know.get(d, t); ok {
+			deps[j] = dv
 		} else {
 			missing++
-			p.addWaiter(oc.nbDense[j], t, idx, int32(j))
+			p.addWaiter(d, t, idx, int32(j))
 		}
 	}
 	oc.missing = missing
@@ -669,17 +686,16 @@ func (c *chunk) computeOne(p *proc) bool {
 	return true
 }
 
-// release retires (dense, step) from p.know once every consumer in cons
-// (the owned indexes that read that column's values) has advanced past
-// needing it (a consumer needs step s values while its next computed step
-// is <= s+1).
-func (c *chunk) release(p *proc, cons []int32, dense, step int32) {
-	for _, idx := range cons {
-		if p.cols[idx].next <= step+1 {
-			return
-		}
+// retire consumes the step values column oc has just read for the last
+// time — its own, then each neighbor's — retiring each value whose pending
+// count this read drains. A column reads its step-s dependencies only when
+// it computes step s+1, so a value retires at the compute of its last local
+// consumer.
+func (c *chunk) retire(p *proc, oc *ownedCol, step int32) {
+	p.know.consume(oc.selfDense, step)
+	for _, d := range c.nbDense[oc.dep : oc.dep+oc.deg] {
+		p.know.consume(d, step)
 	}
-	p.know.del(dense, step)
 }
 
 // deliveriesFor pops every message on l arriving exactly at step `now` and

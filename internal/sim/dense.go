@@ -27,19 +27,22 @@ import "sort"
 // The pooled waiter lists that used to hang off a second hash map rehome
 // onto the same slots: a slot whose value has not arrived yet carries the
 // head of the waiter chain instead, so addWaiter and recordValue never hash
-// either. u64map survives only as the differential test oracle
-// (FuzzDenseKnowledge).
+// either. A known value's slot carries its pending-consumer count in the
+// same word, so retirement is a decrement on the slot the consumer just
+// read rather than a scan of every consumer's frontier. u64map survives,
+// in a test file, only as the differential test oracle (FuzzDenseKnowledge).
 //
 // Slot states, for a slot whose tag matches the queried step:
 //
-//	waitHead <  0: the value is known and stored in val
+//	waitHead <  0: the value is known and stored in val; -1 - waitHead
+//	               local column references still have to consume it
 //	waitHead >= 0: the value is still missing; waitHead chains the pooled
 //	               waiter nodes that want it (see proc.waitPool)
 //
 // A zero tag means the slot is empty (guest steps are >= 1).
 type kslot struct {
 	step     int32 // generation tag: the guest step stored here; 0 = empty
-	waitHead int32 // waiter chain head when the value is pending; -1 = value known
+	waitHead int32 // waiter chain head when the value is pending; -1-consumers once known
 	val      uint64
 }
 
@@ -73,8 +76,9 @@ type denseKnow struct {
 
 // initRingSlots is the initial per-column ring capacity. Most columns never
 // hold more than a few live steps at once (retirement runs one step behind
-// the frontier), so start small and let skewed columns grow on demand.
-const initRingSlots = 8
+// the frontier; the measured retire lag of a 2048-host random NOW is 2), so
+// start small and let skewed columns grow on demand.
+const initRingSlots = 4
 
 // colUniverse returns the sorted distinct guest columns that can ever be
 // keyed at a position holding `owned`: the owned columns plus their guest
@@ -135,8 +139,9 @@ func newDenseKnow(universe []int32) denseKnow {
 
 // denseOf resolves a guest column to its dense ring index (-1 when the
 // column is outside this store's universe). The engine hot paths never call
-// it — compute paths carry precomputed indexes on ownedCol and deliveries
-// carry them on the route — it exists for tests and diagnostics.
+// it — compute paths carry precomputed indexes (ownedCol.selfDense, the
+// chunk's nbDense arena) and deliveries carry them on the route — it exists
+// for tests and diagnostics.
 func (k *denseKnow) denseOf(col int32) int32 { return denseIndex(k.universe, col) }
 
 // get returns the value stored for (dense, step) and whether it is known. A
@@ -183,22 +188,35 @@ func (k *denseKnow) claim(r *kring, s *kslot, step int32) {
 	}
 }
 
-// put stores the value for (dense, step) and returns the head of any waiter
-// chain that was pending on it (-1 when none). The caller owns draining the
-// chain; the slot itself transitions to the known state.
-func (k *denseKnow) put(dense, step int32, val uint64) int32 {
+// put stores the value for (dense, step) with `consumers` pending reads and
+// returns the head of any waiter chain that was pending on it (-1 when
+// none). The caller owns draining the chain; the slot itself transitions to
+// the known state.
+func (k *denseKnow) put(dense, step int32, val uint64, consumers int32) int32 {
 	r := &k.rings[dense]
 	s := k.ensure(r, step)
+	head := int32(-1)
 	if s.step == 0 {
 		k.claim(r, s, step)
-		s.waitHead = -1
-		s.val = val
-		return -1
+	} else if s.waitHead >= 0 {
+		head = s.waitHead
 	}
-	head := s.waitHead
-	s.waitHead = -1
+	s.waitHead = -1 - consumers
 	s.val = val
 	return head
+}
+
+// consume records that one consumer has read (dense, step) for the last
+// time and retires the value when it was the last one pending.
+func (k *denseKnow) consume(dense, step int32) {
+	s := k.rings[dense].at(step)
+	if s.step == step && s.waitHead < 0 {
+		if s.waitHead < -2 {
+			s.waitHead++
+		} else {
+			k.del(dense, step)
+		}
+	}
 }
 
 // waiterSlot returns the slot for (dense, step) with the value still
@@ -215,11 +233,11 @@ func (k *denseKnow) waiterSlot(dense, step int32) *kslot {
 	return s
 }
 
-// del retires a known value. Clearing the generation tag is the entire
-// deletion — no backward shift, no tombstone — which is why heavy churn
-// cannot degrade this store. Pending-waiter slots are never deleted: the
-// engine only retires values whose consumers have all advanced past them,
-// and a consumer blocked on the value has, by definition, not.
+// del retires a known value whatever its pending count. Clearing the
+// generation tag is the entire deletion — no backward shift, no tombstone —
+// which is why heavy churn cannot degrade this store. Pending-waiter slots
+// are never deleted: the engine only retires values whose consumers have
+// all read them, and a consumer blocked on the value has, by definition, not.
 //
 // When occupancy falls to a quarter of a grown ring (or the ring drains
 // entirely), the ring shrinks back toward initRingSlots, so a growth spike

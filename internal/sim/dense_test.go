@@ -40,7 +40,7 @@ func TestColUniverse(t *testing.T) {
 func TestDenseRingWrapNoGrowth(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 200; s++ {
-		if head := k.put(0, s, uint64(s)*3); head != -1 {
+		if head := k.put(0, s, uint64(s)*3, 1); head != -1 {
 			t.Fatalf("step %d: unexpected waiter chain %d", s, head)
 		}
 		if s > 2 {
@@ -70,8 +70,8 @@ func TestDenseRingWrapNoGrowth(t *testing.T) {
 // rehome every live slot conflict-free.
 func TestDenseRingGrowthRehomes(t *testing.T) {
 	k := singleColKnow()
-	k.put(0, 1, 100)
-	k.put(0, 1+initRingSlots, 200) // same residue as step 1: must grow
+	k.put(0, 1, 100, 1)
+	k.put(0, 1+initRingSlots, 200, 1) // same residue as step 1: must grow
 	if k.grows != 1 {
 		t.Fatalf("grows = %d, want 1", k.grows)
 	}
@@ -87,8 +87,8 @@ func TestDenseRingGrowthRehomes(t *testing.T) {
 	// A colliding span wider than double the capacity must grow past one
 	// doubling, straight to a capacity covering the whole live span.
 	k2 := singleColKnow()
-	k2.put(0, 1, 1)
-	k2.put(0, 1001, 2) // 1001 ≡ 1 mod 8: conflict, span 1001
+	k2.put(0, 1, 1, 1)
+	k2.put(0, 1001, 2, 1) // 1001 ≡ 1 mod initRingSlots: conflict, span 1001
 	if _, ok := k2.get(0, 1); !ok {
 		t.Fatal("step 1 lost")
 	}
@@ -116,32 +116,36 @@ func TestDenseWaiterAnchor(t *testing.T) {
 	if k.size() != 1 {
 		t.Fatalf("del removed a pending anchor: size %d", k.size())
 	}
-	if head := k.put(0, 5, 77); head != 42 {
+	if head := k.put(0, 5, 77, 1); head != 42 {
 		t.Fatalf("put returned chain %d, want 42", head)
 	}
 	if v, ok := k.get(0, 5); !ok || v != 77 {
 		t.Fatal("value missing after resolving waiters")
 	}
-	if head := k.put(0, 5, 77); head != -1 {
+	if head := k.put(0, 5, 77, 1); head != -1 {
 		t.Fatalf("second put returned chain %d, want -1", head)
 	}
 }
 
 // A growth spike must be temporary: once the spiked values retire, the ring
-// shrinks back to initRingSlots and only slotsPeak remembers the spike.
+// shrinks back to initRingSlots and only slotsPeak remembers the spike. The
+// drain leaves initRingSlots/2 live steps: a ring shrinks when its occupancy
+// falls to a quarter, so that is low enough to pass every intermediate
+// capacity on the way home.
 func TestDenseRingShrinkAfterSpike(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 32; s++ {
-		k.put(0, s, uint64(s))
+		k.put(0, s, uint64(s), 1)
 	}
 	if k.slots != 32 {
 		t.Fatalf("slots = %d after spike, want 32", k.slots)
 	}
-	for s := int32(1); s <= 24; s++ {
+	keep := int32(initRingSlots / 2)
+	for s := int32(1); s <= 32-keep; s++ {
 		k.del(0, s)
 	}
-	if k.shrinks != 1 {
-		t.Fatalf("shrinks = %d, want 1", k.shrinks)
+	if k.shrinks < 1 {
+		t.Fatalf("shrinks = %d, want at least 1", k.shrinks)
 	}
 	if k.slots != initRingSlots {
 		t.Fatalf("slots = %d after drain, want %d", k.slots, initRingSlots)
@@ -149,22 +153,58 @@ func TestDenseRingShrinkAfterSpike(t *testing.T) {
 	if k.slotsPeak != 32 {
 		t.Fatalf("slotsPeak = %d, want 32 (the spike)", k.slotsPeak)
 	}
-	for s := int32(25); s <= 32; s++ {
+	for s := 33 - keep; s <= 32; s++ {
 		if v, ok := k.get(0, s); !ok || v != uint64(s) {
 			t.Fatalf("step %d lost across shrink", s)
 		}
 	}
-	if k.live != 8 {
-		t.Fatalf("live = %d, want 8", k.live)
+	if k.live != keep {
+		t.Fatalf("live = %d, want %d", k.live, keep)
+	}
+}
+
+// consume retires a value exactly when its last pending consumer reads it,
+// and never touches a pending waiter anchor or an absent step.
+func TestDenseConsumeRefcount(t *testing.T) {
+	k := singleColKnow()
+	k.put(0, 3, 30, 3)
+	for i := 0; i < 2; i++ {
+		k.consume(0, 3)
+		if v, ok := k.get(0, 3); !ok || v != 30 {
+			t.Fatalf("value retired after %d of 3 consumers", i+1)
+		}
+	}
+	k.consume(0, 3)
+	if k.has(0, 3) || k.live != 0 {
+		t.Fatalf("value survived its last consumer: live %d", k.live)
+	}
+	k.consume(0, 3) // absent: no-op
+	s := k.waiterSlot(0, 4)
+	s.waitHead = 42 // chain a fake pool node, as addWaiter does
+	k.consume(0, 4)
+	if k.size() != 1 || s.waitHead != 42 {
+		t.Fatalf("consume touched a pending anchor: size %d head %d", k.size(), s.waitHead)
+	}
+	// The waiter chain hands over to the known state with the full count.
+	if head := k.put(0, 4, 40, 2); head != 42 {
+		t.Fatalf("put returned chain %d, want 42", head)
+	}
+	k.consume(0, 4)
+	if !k.has(0, 4) {
+		t.Fatal("value retired with a consumer still pending")
+	}
+	k.consume(0, 4)
+	if k.size() != 0 {
+		t.Fatalf("size = %d after the last consumer, want 0", k.size())
 	}
 }
 
 // Shrink must rehome surviving steps whose residues wrap around the smaller
-// ring: survivors {6,7,8,9} land at residues {6,7,0,1} mod 8.
+// ring: survivors {6,7,8,9} straddle a multiple of initRingSlots.
 func TestDenseRingShrinkWrapBoundary(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 16; s++ {
-		k.put(0, s, uint64(s)*11)
+		k.put(0, s, uint64(s)*11, 1)
 	}
 	if k.slots != 16 {
 		t.Fatalf("slots = %d, want 16", k.slots)
@@ -190,7 +230,7 @@ func TestDenseWaiterSurvivesShrink(t *testing.T) {
 	k := singleColKnow()
 	for s := int32(1); s <= 16; s++ {
 		if s != 10 {
-			k.put(0, s, uint64(s))
+			k.put(0, s, uint64(s), 1)
 		}
 	}
 	ws := k.waiterSlot(0, 10)
@@ -204,7 +244,7 @@ func TestDenseWaiterSurvivesShrink(t *testing.T) {
 	if k.size() != 4 {
 		t.Fatalf("size = %d, want 4 (3 values + 1 pending)", k.size())
 	}
-	if head := k.put(0, 10, 99); head != 42 {
+	if head := k.put(0, 10, 99, 1); head != 42 {
 		t.Fatalf("put after shrink returned chain %d, want 42", head)
 	}
 	for s := int32(11); s <= 13; s++ {
@@ -218,13 +258,13 @@ func TestDenseWaiterSurvivesShrink(t *testing.T) {
 // shrink (capacity >= span is the residue-distinctness invariant).
 func TestDenseRingShrinkRefusesWideSpan(t *testing.T) {
 	k := singleColKnow()
-	k.put(0, 1, 1)
-	k.put(0, 33, 2) // 33 ≡ 1 mod 8: conflict, span 33 -> cap 64
+	k.put(0, 1, 1, 1)
+	k.put(0, 33, 2, 1) // 33 ≡ 1 mod initRingSlots: conflict, span 33 -> cap 64
 	if k.slots != 64 {
 		t.Fatalf("slots = %d, want 64", k.slots)
 	}
 	for s := int32(2); s <= 16; s++ {
-		k.put(0, s, uint64(s))
+		k.put(0, s, uint64(s), 1)
 	}
 	// live 17 -> 16 crosses len/4, but survivors {1..15, 33} span 33 > 32:
 	// the shrink must refuse rather than break residue distinctness.
@@ -263,8 +303,8 @@ func TestEagerRetirementDrainsKnowledge(t *testing.T) {
 }
 
 // FuzzDenseKnowledge drives random (col, step) operation sequences against
-// the dense store and the u64map oracle and asserts identical observable
-// results. The universe is fixed and small so rings collide and grow; steps
+// the dense store and the u64map oracle (plus a map of pending consumer
+// counts) and asserts identical observable results. The universe is fixed and small so rings collide and grow; steps
 // span enough range to force multi-doubling growth and wraparound. Shrinks
 // fire inside del, so every shrink is checked against the oracle too: the
 // live count, every stored value (final sweep), and the floor/peak slot
@@ -273,13 +313,16 @@ func FuzzDenseKnowledge(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0})
 	f.Add([]byte{1, 1, 200, 0, 1, 1, 8, 0, 0, 1, 200, 0, 2, 1, 200, 0})
 	f.Add([]byte{3, 2, 5, 0, 1, 2, 5, 0, 0, 2, 5, 0, 3, 3, 9, 1, 2, 3, 9, 1})
+	f.Add([]byte{0x81, 0, 4, 0, 0x82, 0, 4, 0, 0, 0, 4, 0, 0x82, 0, 4, 0, 0, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		universe := []int32{2, 5, 7, 9, 100}
 		k := newDenseKnow(universe)
 		oracle := newU64map()        // known values, keyed kkey(col, step)
 		pending := map[uint64]bool{} // waiter anchors the oracle can't hold
+		counts := map[uint64]int32{} // pending consumers of known values
 		for len(data) >= 4 {
 			op, ci := data[0]&3, int32(data[1])%int32(len(universe))
+			alt := data[0]&0x80 != 0
 			step := 1 + int32(data[2]) | int32(data[3]&0x0f)<<8
 			data = data[4:]
 			col := universe[ci]
@@ -291,9 +334,13 @@ func FuzzDenseKnowledge(f *testing.F) {
 				if ok != ook || (ok && v != ov) {
 					t.Fatalf("get(%d,%d) = %d,%v; oracle %d,%v", col, step, v, ok, ov, ook)
 				}
-			case 1: // put
+			case 1: // put, with 1 or 2 pending consumers
 				val := uint64(step)*1000 + uint64(col)
-				head := k.put(ci, step, val)
+				cons := int32(1)
+				if alt {
+					cons = 2
+				}
+				head := k.put(ci, step, val, cons)
 				if pending[key] {
 					if head < 0 {
 						t.Fatalf("put(%d,%d) dropped a pending waiter chain", col, step)
@@ -303,7 +350,17 @@ func FuzzDenseKnowledge(f *testing.F) {
 					t.Fatalf("put(%d,%d) invented waiter chain %d", col, step, head)
 				}
 				oracle.put(key, val)
-			case 2: // del (engine only retires known values)
+				counts[key] = cons
+			case 2: // consume or del (engine only retires known values)
+				if alt {
+					k.consume(ci, step)
+					if _, known := oracle.get(key); known {
+						if counts[key]--; counts[key] == 0 {
+							oracle.del(key)
+						}
+					}
+					break
+				}
 				k.del(ci, step)
 				if !pending[key] {
 					oracle.del(key)

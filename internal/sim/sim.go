@@ -109,6 +109,9 @@ type Config struct {
 	// ast is the resolved adaptive-replication state; set by Run when Adapt
 	// is enabled.
 	ast *adaptState
+	// retireOverride (tests only) is copied onto every chunk; see
+	// chunk.retireOverride.
+	retireOverride func(c *chunk, p *proc, idx, t int32)
 }
 
 func (c *Config) hostN() int { return len(c.Delays) + 1 }

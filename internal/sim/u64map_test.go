@@ -6,6 +6,158 @@ import (
 	"testing/quick"
 )
 
+// u64map is a purpose-built open-addressing hash map from uint64 keys to
+// uint64 values. It was the per-workstation knowledge table until the dense
+// generation-indexed store (dense.go) replaced it on the hot path; it
+// survives, in this test file, purely as the differential test oracle — FuzzDenseKnowledge
+// drives random (col, step) operation sequences against both stores and
+// asserts identical results, which only works because this map makes no
+// assumptions about key structure that the dense store could share. Key 0
+// is reserved as the empty sentinel; knowledge keys are kkey(col, step)
+// with step >= 1, so 0 never occurs.
+type u64map struct {
+	keys []uint64
+	vals []uint64
+	mask uint64
+	n    int // live entries
+}
+
+const u64mapMinCap = 16
+
+func newU64map() *u64map {
+	m := &u64map{}
+	m.init(u64mapMinCap)
+	return m
+}
+
+func (m *u64map) init(capacity int) {
+	m.keys = make([]uint64, capacity)
+	m.vals = make([]uint64, capacity)
+	m.mask = uint64(capacity - 1)
+	m.n = 0
+}
+
+// hash scrambles the key; kkey packs col<<32|step, whose low bits alone
+// would collide badly across columns.
+func u64hash(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+// get returns the value for key and whether it is present.
+func (m *u64map) get(key uint64) (uint64, bool) {
+	i := u64hash(key) & m.mask
+	for {
+		k := m.keys[i]
+		if k == key {
+			return m.vals[i], true
+		}
+		if k == 0 {
+			return 0, false
+		}
+		i = (i + 1) & m.mask
+	}
+}
+
+// has reports whether key is present.
+func (m *u64map) has(key uint64) bool {
+	_, ok := m.get(key)
+	return ok
+}
+
+// put inserts or overwrites key.
+func (m *u64map) put(key, val uint64) {
+	if key == 0 {
+		panic("u64map: zero key")
+	}
+	// Grow at 50% load: the engine's hottest operation is the *missing*
+	// probe (dependency not yet known), whose expected chain length blows
+	// up past half load in linear-probe tables; trading memory for short
+	// chains is a clear win here.
+	if 2*(m.n+1) > len(m.keys) {
+		m.rehash(2 * len(m.keys))
+	}
+	i := u64hash(key) & m.mask
+	for {
+		k := m.keys[i]
+		if k == key {
+			m.vals[i] = val
+			return
+		}
+		if k == 0 {
+			m.keys[i] = key
+			m.vals[i] = val
+			m.n++
+			return
+		}
+		i = (i + 1) & m.mask
+	}
+}
+
+// del removes key if present, using backward-shift deletion (no
+// tombstones, so heavy churn cannot degrade probes).
+func (m *u64map) del(key uint64) {
+	i := u64hash(key) & m.mask
+	for {
+		k := m.keys[i]
+		if k == 0 {
+			return
+		}
+		if k == key {
+			break
+		}
+		i = (i + 1) & m.mask
+	}
+	// backward shift: close the hole by moving displaced entries back
+	m.n--
+	j := i
+	for {
+		j = (j + 1) & m.mask
+		k := m.keys[j]
+		if k == 0 {
+			break
+		}
+		home := u64hash(k) & m.mask
+		// can k move into the hole at i? yes iff its home position does
+		// not lie strictly between i (exclusive) and j (inclusive) in
+		// probe order.
+		if ((j - home) & m.mask) >= ((j - i) & m.mask) {
+			m.keys[i] = k
+			m.vals[i] = m.vals[j]
+			i = j
+		}
+	}
+	m.keys[i] = 0
+	m.vals[i] = 0
+	// shrink when very sparse to bound churned memory
+	if len(m.keys) > u64mapMinCap && 8*m.n < len(m.keys) {
+		m.rehash(len(m.keys) / 2)
+	}
+}
+
+func (m *u64map) rehash(capacity int) {
+	if capacity < u64mapMinCap {
+		capacity = u64mapMinCap
+	}
+	oldK, oldV := m.keys, m.vals
+	m.init(capacity)
+	for i, k := range oldK {
+		if k != 0 {
+			m.put(k, oldV[i])
+		}
+	}
+}
+
+// size reports the number of live entries.
+func (m *u64map) size() int { return m.n }
+
+// kkey packs a (column, step) pair into a u64map key.
+func kkey(col, step int32) uint64 { return uint64(uint32(col))<<32 | uint64(uint32(step)) }
+
 func TestU64MapBasics(t *testing.T) {
 	m := newU64map()
 	if _, ok := m.get(5); ok {

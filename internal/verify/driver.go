@@ -173,8 +173,12 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	// guest round of slack — and only runs without heavy-tailed spikes
 	// (shifted injection steps redraw per-step spike delays whose caps
 	// dwarf the slack) and without adaptation (worse faults mean more
-	// blame, more activations, and legitimately faster finishes). The
-	// subset check is sim-free and runs for every outage plan.
+	// blame, more activations, and legitimately faster finishes). Jitter is
+	// redrawn per (link, step, slot) exactly like spikes, so with jitter the
+	// schedule check compares jitter-free twins of the base and doubled
+	// plans: one extra run, and the outages stay the only difference. The
+	// subset check is sim-free and runs on the real plan for every outage
+	// plan.
 	if sc.Faults != nil && len(sc.Faults.Outages) > 0 {
 		rep.Relations = append(rep.Relations, "outage-monotone")
 		worse := *sc
@@ -197,6 +201,23 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 			}
 		}
 		if len(sc.Faults.Spikes) == 0 && sc.Adapt == nil {
+			baseSteps := seqRes.HostSteps
+			if len(plan.Jitters) > 0 {
+				plan.Jitters = nil
+				calm := *sc
+				calmPlan := *sc.Faults
+				calmPlan.Jitters = nil
+				calm.Faults = &calmPlan
+				ccfg, err := calm.Build()
+				if err != nil {
+					return nil, err
+				}
+				calmRes, _, err := run(ccfg, 0, false)
+				if err != nil {
+					return nil, fmt.Errorf("verify: scenario %q jitter-free variant: %w", sc, err)
+				}
+				baseSteps = calmRes.HostSteps
+			}
 			wcfg, err := worse.Build()
 			if err != nil {
 				return nil, err
@@ -205,9 +226,9 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("verify: scenario %q outage variant: %w", sc, err)
 			}
-			if worseRes.HostSteps+int64(sc.Steps) < seqRes.HostSteps {
+			if worseRes.HostSteps+int64(sc.Steps) < baseSteps {
 				fail("outage-monotone", "doubling outage fractions sped the run up: %d -> %d host steps",
-					seqRes.HostSteps, worseRes.HostSteps)
+					baseSteps, worseRes.HostSteps)
 			}
 		}
 	}

@@ -1,0 +1,136 @@
+package verify
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"latencyhide/internal/assign"
+	"latencyhide/internal/embedding"
+	"latencyhide/internal/guest"
+	"latencyhide/internal/network"
+	"latencyhide/internal/obs"
+	"latencyhide/internal/sim"
+	"latencyhide/internal/tree"
+)
+
+// Golden event-stream hashes. Every other engine test compares two engines
+// or an engine against an in-package oracle, so a change that moves both
+// sides together (a layout refactor of shared state, say) passes them all.
+// These pins were taken from the engine before the refcounted-retirement
+// and hot/cold column-layout refactor and must never move unless the
+// simulated schedule is meant to change.
+const (
+	goldenCorpusN    = 200
+	goldenCorpusHash = 0xeaff2d1689bb797c
+	goldenLargeHash  = 0xf4323353e4042a0f
+)
+
+// hashRecorder folds the canonical obs stream into an FNV-64a hash as it is
+// replayed, so large runs need no second event buffer.
+type hashRecorder struct {
+	h   hash.Hash64
+	buf [8]byte
+	n   int64
+}
+
+func newHashRecorder() *hashRecorder { return &hashRecorder{h: fnv.New64a()} }
+
+func (r *hashRecorder) word(vs ...int64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(r.buf[:], uint64(v))
+		r.h.Write(r.buf[:])
+	}
+}
+
+func (r *hashRecorder) RecordCompute(step int64, proc, col, gstep int32) {
+	r.n++
+	r.word(1, step, int64(proc), int64(col), int64(gstep))
+}
+
+func (r *hashRecorder) RecordInject(step int64, proc, link int32, dir int8, route, col, gstep int32) {
+	r.n++
+	r.word(2, step, int64(proc), int64(link), int64(dir), int64(route), int64(col), int64(gstep))
+}
+
+func (r *hashRecorder) RecordDeliver(step int64, proc, route, col, gstep int32) {
+	r.n++
+	r.word(3, step, int64(proc), int64(route), int64(col), int64(gstep))
+}
+
+func (r *hashRecorder) RecordFault(step int64, kind obs.FaultKind, proc, link int32, dur int64) {
+	r.n++
+	r.word(4, step, int64(kind), int64(proc), int64(link), dur)
+}
+
+func (r *hashRecorder) RecordAdapt(step int64, proc, col int32) {
+	r.n++
+	r.word(5, step, int64(proc), int64(col))
+}
+
+// result folds a run's aggregates into the hash.
+func (r *hashRecorder) result(res *sim.Result) {
+	r.word(res.HostSteps, res.PebblesComputed, res.GuestWork, res.Messages,
+		res.MessageHops, res.DeliveredValues, int64(res.MaxQueueDepth),
+		int64(res.Load), int64(res.Bandwidth), int64(res.AdaptActivations),
+		int64(math.Float64bits(res.Slowdown)), int64(math.Float64bits(res.Redundancy)), r.n)
+}
+
+// TestGoldenCorpusStream pins the sequential engine's canonical stream and
+// aggregates over the first goldenCorpusN scenarios of seed 1's stream, which
+// spans every fault regime, adaptive replication and crash-stop plans.
+func TestGoldenCorpusStream(t *testing.T) {
+	rec := newHashRecorder()
+	for i := 0; i < goldenCorpusN; i++ {
+		sc := Generate(1, i)
+		cfg, err := sc.Build()
+		if err != nil {
+			t.Fatalf("scenario %d (%s): %v", i, sc, err)
+		}
+		cfg.Check = true
+		cfg.Recorder = rec
+		res, err := sim.Run(*cfg)
+		if err != nil {
+			t.Fatalf("scenario %d (%s): %v", i, sc, err)
+		}
+		rec.result(res)
+	}
+	if got := rec.h.Sum64(); got != goldenCorpusHash {
+		t.Fatalf("corpus stream hash %#x, want %#x (%d events)", got, uint64(goldenCorpusHash), rec.n)
+	}
+}
+
+// TestGoldenLargeStream pins a 256-host run shaped like `latencysim run`: a
+// random NOW, its line embedding, the c=4 interval tree and the two-level
+// assignment, 160 guest steps on the sequential engine.
+func TestGoldenLargeStream(t *testing.T) {
+	const hosts, steps, seed = 256, 160, 1
+	g := network.RandomNOW(hosts, 4, network.ExpDelay{Mean: 3}, seed)
+	line, err := embedding.Embed(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tree.Build(line.Delays, 4)
+	a, err := assign.TwoLevel(tr, 2, max(1, int(math.Round(math.Sqrt(tr.Dave)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newHashRecorder()
+	res, err := sim.Run(sim.Config{
+		Delays:   line.Delays,
+		Guest:    guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: steps, Seed: seed},
+		Assign:   a,
+		Check:    true,
+		Recorder: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.result(res)
+	if got := rec.h.Sum64(); got != goldenLargeHash {
+		t.Fatalf("large stream hash %#x, want %#x (%d events, %d pebbles)",
+			got, uint64(goldenLargeHash), rec.n, res.PebblesComputed)
+	}
+}
