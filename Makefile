@@ -1,14 +1,10 @@
 # latencyhide — build / test / reproduce targets
 
 GO ?= go
-# The newest committed record (version-sorted, so BENCH_10 follows BENCH_9).
-BENCH_BASELINE ?= $(or $(shell ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1),BENCH_1.json)
-BENCH_PATTERN  ?= Engine|Telemetry|FaultQuery
-BENCH_TIME     ?= 3x
 
 COVER_MIN ?= 80
 
-.PHONY: all build test race bench bench-baseline bench-diff bench-telemetry-gate bench-parallel-gate bench-fault-gate bench-mem-gate bench-huge-smoke bench-all ci check-binaries cover verify chaos twin-gate fleet experiments examples clean
+.PHONY: all build test race bench bench-huge-smoke bench-all ci check-binaries cover verify chaos twin-gate fleet experiments examples clean
 
 all: build test
 
@@ -85,60 +81,16 @@ fleet:
 race:
 	$(GO) test -race ./internal/sim ./internal/overlap ./internal/mesharray
 
-# Engine benchmark regression harness: run the engine micro-benchmarks and
-# compare pebbles/sec against the committed baseline ($(BENCH_BASELINE)),
-# failing on >10% regressions. With no baseline present, record one instead.
+# Benchmark A/B: run the repository benchmark (perfbench/, described by
+# BENCHMARK.json) on $(BASE) and on this checkout in forty interleaved pairs
+# per workload, report every end-to-end metric's median ratio with a
+# bootstrap 95% interval, and fail when one lies wholly past its bound (see
+# cmd/benchcmp). About 28 minutes per workload on 2 CPUs; narrow it with
+# BENCH_FLAGS='-workload run-large', or pass -seed 7919 for the hold-out.
+BASE        ?= HEAD
+BENCH_FLAGS ?=
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count 1 . | tee bench.out
-	@if [ -f $(BENCH_BASELINE) ]; then \
-		$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) bench.out; \
-	else \
-		$(GO) run ./cmd/benchcmp -write $(BENCH_BASELINE) bench.out; \
-	fi
-
-# Re-record the baseline (after an intentional perf change).
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count 1 . | tee bench.out
-	$(GO) run ./cmd/benchcmp -write $(BENCH_BASELINE) bench.out
-
-# Diff the newest two committed BENCH_*.json records, failing on a >15%
-# sequential-engine regression (parallel lines are reported but ungated).
-bench-diff:
-	$(GO) run ./cmd/benchcmp -diff-latest .
-
-# Tight telemetry-disabled gate: the sequential engine with a nil registry
-# must stay within 2% of the previous committed baseline (deterministic —
-# both records are committed files, no benchmarks run here).
-bench-telemetry-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only EngineSequential
-
-# Same deterministic 2% gate for the 4-worker parallel engine (-gate-all
-# because parallel benchmarks sit outside the default sequential-only gate).
-bench-parallel-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only EngineParallel4 -gate-all
-
-# Deterministic 2% faults-disabled gate, mirroring bench-telemetry-gate:
-# the engine with Config.Faults nil must pay nothing for the regime
-# machinery (one pointer check per run, no per-injection queries). The gate
-# arms itself: until a committed baseline records FaultQueryOff it reports
-# and passes (diffing records that predate the benchmark would always be
-# vacuous); once one does, absence or regression fails the build.
-bench-fault-gate:
-	@latest=$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1); \
-	if grep -q FaultQueryOff "$$latest"; then \
-		$(GO) run ./cmd/benchcmp -diff-latest . -threshold 0.02 -only FaultQueryOff -gate-all; \
-	else \
-		echo "bench-fault-gate: $$latest predates BenchmarkFaultQueryOff; gate arms with the next bench-baseline"; \
-	fi
-
-# Deterministic memory gate: bytes/pebble on the engine benchmarks must not
-# grow more than 10% PR-over-PR. Unlike wall time, allocation per pebble is
-# nearly machine-independent, so the memory gate covers every compared
-# engine benchmark (both records are committed files, no benchmarks run
-# here). The 100% time threshold neutralizes the wall-clock gate so this
-# target fails on memory only.
-bench-mem-gate:
-	$(GO) run ./cmd/benchcmp -diff-latest . -threshold 1.0 -mem-threshold 0.10 -only Engine
+	$(GO) run ./cmd/benchcmp -ab $(BASE) $(BENCH_FLAGS)
 
 # Reduced-scale EngineHuge smoke: the 10M-pebble tier's code path and its
 # declared RSS budget, scaled down to a line CI can run in seconds. The
@@ -154,8 +106,8 @@ bench-all:
 
 # Regenerate the full paper reproduction record (see EXPERIMENTS.md).
 experiments:
-	$(GO) run ./cmd/experiments -scale full -o EXPERIMENTS-data.md
-	$(GO) run ./cmd/experiments -scale full -csvdir experiments-csv
+	$(GO) run ./cmd/latencysim exp -scale full -md > EXPERIMENTS-data.md
+	$(GO) run ./cmd/latencysim exp -scale full -csvdir experiments-csv
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -166,4 +118,4 @@ examples:
 	$(GO) run ./examples/sortarray
 
 clean:
-	rm -rf experiments-csv bench.out cover.out fleet-shard*.jsonl
+	rm -rf experiments-csv cover.out fleet-shard*.jsonl

@@ -1,15 +1,22 @@
-// Benchmarks: one per paper experiment (E1-E12, DESIGN.md's per-experiment
-// index) plus engine micro-benchmarks. Each experiment bench runs the
-// core measurement of its table and reports the headline figure (usually
-// the slowdown) via b.ReportMetric, so `go test -bench=.` regenerates the
-// shape of every paper result.
+// Benchmarks: one per paper experiment (E1-E18 of DESIGN.md's
+// per-experiment index; E19 is a validation table with none) plus engine
+// micro-benchmarks. Each experiment bench runs the core measurement of its
+// table and reports the headline figure (usually the slowdown) via
+// b.ReportMetric, so `go test -bench=.` regenerates the shape of every paper
+// result. Wall-clock comparisons between commits belong to the perfbench
+// A/B (`go run ./cmd/benchcmp -ab <rev>`); the engine benchmarks here add
+// fixed-size engine configs, allocation bounds that run the code
+// (TestEngineBytesPerPebble, EngineLarge, EngineHuge) and per-layer
+// overhead ratios (EngineOverhead).
 package latencyhide_test
 
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"latencyhide"
 	"latencyhide/internal/adapt"
@@ -296,85 +303,114 @@ func BenchmarkE12RedundancyAblation(b *testing.B) {
 
 // --- engine micro-benchmarks ---
 
+// Allocation bounds in bytes per pebble (TotalAlloc delta ÷ pebbles
+// computed, sim.Run only). Allocation repeats to within 0.2% from run to
+// run, and -race adds about 0.2%, so each bound is the figure measured when
+// it was set ×1.10, rounded down; none exceeds the figure of the last
+// committed benchmark record (BENCH_5, since retired) ×1.10.
+const (
+	seqBytesPerPebble   = 43.5 // measured 39.61; BENCH_5 44.81
+	par4BytesPerPebble  = 43.1 // measured 39.23; BENCH_5 44.39
+	largeBytesPerPebble = 29.6 // measured 26.91; BENCH_5 28.98
+)
+
+// hugeBytesPerPebble bounds EngineHuge at the scales it runs at: the full
+// 8192-host tier and the 1024-host CI smoke (make bench-huge-smoke).
+var hugeBytesPerPebble = map[int]float64{
+	8192: 28.7, // measured 26.14; BENCH_5 28.12
+	1024: 28.1, // measured 25.58
+}
+
+// engineConfig is the engine benchmarks' input: a linear-array guest under
+// the two-level OVERLAP assignment on an n-host bimodal NOW line.
+func engineConfig(tb testing.TB, hostN, steps, workers int) sim.Config {
+	delays := nowLine(hostN, 3)
+	a, err := assign.TwoLevel(tree.Build(delays, 4), 2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sim.Config{
+		Delays:  delays,
+		Guest:   guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: steps, Seed: 7},
+		Assign:  a,
+		Workers: workers,
+	}
+}
+
+// runCounted runs cfg n times and returns the bytes allocated per pebble
+// and the pebbles one run computes.
+func runCounted(tb testing.TB, cfg sim.Config, n int) (bytesPerPebble float64, pebbles int64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		res, err := sim.Run(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pebbles = res.PebblesComputed
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(int64(n)*pebbles), pebbles
+}
+
+// benchEngine times cfg and reports pebbles/op, B/pebble and peak RSS
+// (rss-bytes: it includes whatever earlier benchmarks left resident). It
+// fails when B/pebble exceeds maxBytesPerPebble (0: unbounded).
+func benchEngine(b *testing.B, cfg sim.Config, maxBytesPerPebble float64) int64 {
+	b.ReportAllocs()
+	telemetry.ResetPeakRSS()
+	b.ResetTimer()
+	perPebble, pebbles := runCounted(b, cfg, b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(pebbles), "pebbles/op")
+	b.ReportMetric(perPebble, "B/pebble")
+	if rss := telemetry.ReadPeakRSS(); rss > 0 {
+		b.ReportMetric(float64(rss), "rss-bytes")
+	}
+	if maxBytesPerPebble > 0 && perPebble > maxBytesPerPebble {
+		b.Fatalf("%.2f bytes allocated per pebble, bound %.1f", perPebble, maxBytesPerPebble)
+	}
+	return pebbles
+}
+
+// TestEngineBytesPerPebble runs the EngineSequential and EngineParallel4
+// configs once each and holds their allocation per pebble to its bound.
+func TestEngineBytesPerPebble(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		bound   float64
+	}{
+		{"EngineSequential", 0, seqBytesPerPebble},
+		{"EngineParallel4", 4, par4BytesPerPebble},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, pebbles := runCounted(t, engineConfig(t, 1024, 64, tc.workers), 1)
+			t.Logf("%.2f bytes/pebble over %d pebbles (bound %.1f)", got, pebbles, tc.bound)
+			if got > tc.bound {
+				t.Fatalf("%.2f bytes allocated per pebble, bound %.1f", got, tc.bound)
+			}
+		})
+	}
+}
+
 // BenchmarkEngineSequential measures raw engine throughput
 // (pebbles/second) on a mid-size OVERLAP run.
 func BenchmarkEngineSequential(b *testing.B) {
-	benchEngine(b, 0)
+	benchEngine(b, engineConfig(b, 1024, 64, 0), seqBytesPerPebble)
 }
 
 // BenchmarkEngineParallel4 exercises the conservative parallel engine.
 func BenchmarkEngineParallel4(b *testing.B) {
-	benchEngine(b, 4)
+	benchEngine(b, engineConfig(b, 1024, 64, 4), par4BytesPerPebble)
 }
 
-func benchEngine(b *testing.B, workers int) {
-	delays := nowLine(1024, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Delays:  delays,
-		Guest:   guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 64, Seed: 7},
-		Assign:  a,
-		Workers: workers,
-	}
-	// B/op divided by pebbles/op is the engine's allocation footprint per
-	// pebble; benchcmp derives and tracks it as bytes_per_pebble. Peak RSS
-	// rides along as rss-bytes (report-only — it includes runtime spans and
-	// whatever earlier benchmarks left resident).
-	b.ReportAllocs()
-	telemetry.ResetPeakRSS()
-	b.ResetTimer()
-	var pebbles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pebbles = res.PebblesComputed
-	}
-	b.ReportMetric(float64(pebbles), "pebbles/op")
-	if rss := telemetry.ReadPeakRSS(); rss > 0 {
-		b.ReportMetric(float64(rss), "rss-bytes")
-	}
-}
-
-// BenchmarkEngineLarge is the memory-tier benchmark: a single run computes
-// over five million pebbles, so B/op ÷ pebbles/op (benchcmp's
-// bytes_per_pebble) reflects steady-state allocation behavior at scale
-// rather than per-run setup cost — the first step toward the ROADMAP
-// "millions of guest columns" item.
+// BenchmarkEngineLarge is the memory tier: a single run computes over five
+// million pebbles, so its bytes per pebble reflect steady-state allocation
+// at scale rather than per-run setup cost.
 func BenchmarkEngineLarge(b *testing.B) {
-	delays := nowLine(4096, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Delays: delays,
-		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 160, Seed: 7},
-		Assign: a,
-	}
-	b.ReportAllocs()
-	telemetry.ResetPeakRSS()
-	b.ResetTimer()
-	var pebbles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pebbles = res.PebblesComputed
-	}
-	if pebbles < 5_000_000 {
+	if pebbles := benchEngine(b, engineConfig(b, 4096, 160, 0), largeBytesPerPebble); pebbles < 5_000_000 {
 		b.Fatalf("run computed %d pebbles, want >= 5M for the memory tier", pebbles)
-	}
-	b.ReportMetric(float64(pebbles), "pebbles/op")
-	if rss := telemetry.ReadPeakRSS(); rss > 0 {
-		b.ReportMetric(float64(rss), "rss-bytes")
 	}
 }
 
@@ -386,10 +422,11 @@ func BenchmarkEngineLarge(b *testing.B) {
 const hugeRSSBudgetBytes = 512 << 20
 
 // BenchmarkEngineHuge is the production-scale memory tier: a single run
-// computes over ten million pebbles and must stay inside hugeRSSBudgetBytes.
-// LATENCYHIDE_HUGE_HOSTS scales the host line down for smoke runs (CI's
-// bench-huge-smoke job); the pebble floor only applies at full scale, but the
-// RSS budget always does — a catastrophic blowup shows at any size.
+// computes over ten million pebbles and must stay inside hugeRSSBudgetBytes
+// and hugeBytesPerPebble. LATENCYHIDE_HUGE_HOSTS scales the host line down
+// for smoke runs (CI's bench-huge-smoke job); the pebble floor only applies
+// at full scale, but the RSS budget always does — a catastrophic blowup
+// shows at any size.
 func BenchmarkEngineHuge(b *testing.B) {
 	hostN := 8192
 	var minPebbles int64 = 10_400_000
@@ -401,177 +438,77 @@ func BenchmarkEngineHuge(b *testing.B) {
 		hostN = n
 		minPebbles = 0
 	}
-	delays := nowLine(hostN, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
+	bound, ok := hugeBytesPerPebble[hostN]
+	if !ok {
+		b.Logf("no bytes/pebble bound declared for %d hosts", hostN)
 	}
-	cfg := sim.Config{
-		Delays: delays,
-		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 168, Seed: 7},
-		Assign: a,
-	}
-	b.ReportAllocs()
-	telemetry.ResetPeakRSS()
-	b.ResetTimer()
-	var pebbles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pebbles = res.PebblesComputed
-	}
-	b.StopTimer()
+	pebbles := benchEngine(b, engineConfig(b, hostN, 168, 0), bound)
 	if pebbles < minPebbles {
 		b.Fatalf("run computed %d pebbles, want >= %d for the huge tier", pebbles, minPebbles)
 	}
-	b.ReportMetric(float64(pebbles), "pebbles/op")
-	if rss := telemetry.ReadPeakRSS(); rss > 0 {
-		b.ReportMetric(float64(rss), "rss-bytes")
-		if rss > hugeRSSBudgetBytes {
-			b.Fatalf("peak RSS %.1f MB exceeds the declared %d MB budget",
-				float64(rss)/(1<<20), hugeRSSBudgetBytes>>20)
-		}
+	if rss := telemetry.ReadPeakRSS(); rss > hugeRSSBudgetBytes {
+		b.Fatalf("peak RSS %.1f MB exceeds the declared %d MB budget",
+			float64(rss)/(1<<20), hugeRSSBudgetBytes>>20)
 	}
 }
 
-// BenchmarkTelemetryOverhead guards the zero-cost-when-disabled contract of
-// the telemetry registry: Config.Telemetry nil (the default) leaves only
-// plain int64 field increments on the hot path and must track
-// BenchmarkEngineSequential. CI gates the disabled path at 2% via
-// benchcmp -diff-latest.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	benchEngine(b, 0)
-}
-
-// BenchmarkTelemetryEnabled pays for a live registry: per-chunk shards,
-// periodic flushes every 64 steps, histogram observes and peak scans.
-// Compare against BenchmarkTelemetryOverhead to price instrumentation.
-func BenchmarkTelemetryEnabled(b *testing.B) {
-	delays := nowLine(1024, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Delays:    delays,
-		Guest:     guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 64, Seed: 7},
-		Assign:    a,
-		Telemetry: telemetry.NewRegistry(),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pebbles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pebbles = res.PebblesComputed
-	}
-	b.ReportMetric(float64(pebbles), "pebbles/op")
-}
-
-// BenchmarkFaultQueryOff guards the zero-cost-when-disabled contract of
-// the fault layer: Config.Faults nil (the default) must leave no regime
-// query on the hot path — the engine checks one pointer per run, not per
-// injection. CI gates this at 2% PR-over-PR via benchcmp -diff-latest
-// (make bench-fault-gate), mirroring the telemetry-disabled gate.
-func BenchmarkFaultQueryOff(b *testing.B) {
-	benchEngine(b, 0)
-}
-
-// BenchmarkFaultQueryOn pays for a live plan carrying every regime kind at
-// once (jitter, outage, Pareto spikes, a moving drift stripe and link
-// churn), so every injection consults ExtraDelay and LinkDown across the
-// full interval-scan path. Compare against BenchmarkFaultQueryOff to price
-// the adversary.
-func BenchmarkFaultQueryOn(b *testing.B) {
-	delays := nowLine(1024, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Delays: delays,
-		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 64, Seed: 7},
-		Assign: a,
-		Faults: &fault.Plan{
-			Seed:    5,
-			Jitters: []fault.Jitter{{Link: -1, Prob: 0.1, Amp: 2}},
-			Outages: []fault.Outage{{Link: -1, Window: 16, Frac: 0.02}},
-			Spikes:  []fault.Spike{{Link: -1, Prob: 0.05, Alpha: 1.5, Cap: 8}},
-			Drifts:  []fault.Drift{{Link: -1, Window: 16, Frac: 0.2, Period: 64, Stride: 1}},
-			Churns:  []fault.Churn{{Link: 0, Up: 48, Down: 2}},
-		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pebbles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pebbles = res.PebblesComputed
-	}
-	b.ReportMetric(float64(pebbles), "pebbles/op")
-}
-
-// BenchmarkRecorderOverhead guards the zero-cost-when-disabled contract of
-// the observability hooks: "off" (Config.Recorder nil, the default) must
-// track the pre-instrumentation engine cost, while "on" pays for event
-// buffering. Compare off vs on with `go test -bench=RecorderOverhead`.
-func BenchmarkRecorderOverhead(b *testing.B) {
-	delays := nowLine(1024, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := sim.Config{
-		Delays: delays,
-		Guest:  guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 64, Seed: 7},
-		Assign: a,
-	}
-	for _, workers := range []int{0, 4} {
-		for _, mode := range []string{"off", "on"} {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(b *testing.B) {
-				cfg := base
-				cfg.Workers = workers
-				for i := 0; i < b.N; i++ {
-					if mode == "on" {
-						cfg.Recorder = obs.NewBuffer()
+// BenchmarkEngineOverhead prices each optional engine layer as a paired
+// ratio. Every iteration runs the EngineSequential config once with the
+// layer off (nil, the default: the zero-cost-when-disabled path) and once
+// with it on, alternating which goes first, and on/off reports the ratio of
+// the summed times. The layers:
+//   - telemetry: a live registry (per-chunk shards, periodic flushes,
+//     histogram observes, peak scans);
+//   - faults: a plan carrying every regime kind at once (jitter, outage,
+//     Pareto spikes, a moving drift stripe, link churn), so every injection
+//     consults ExtraDelay and LinkDown across the full interval scan;
+//   - recorder: an obs.Buffer receiving the event stream.
+func BenchmarkEngineOverhead(b *testing.B) {
+	base := engineConfig(b, 1024, 64, 0)
+	for _, layer := range []struct {
+		name string
+		on   func(*sim.Config)
+	}{
+		{"telemetry", func(c *sim.Config) { c.Telemetry = telemetry.NewRegistry() }},
+		{"faults", func(c *sim.Config) {
+			c.Faults = &fault.Plan{
+				Seed:    5,
+				Jitters: []fault.Jitter{{Link: -1, Prob: 0.1, Amp: 2}},
+				Outages: []fault.Outage{{Link: -1, Window: 16, Frac: 0.02}},
+				Spikes:  []fault.Spike{{Link: -1, Prob: 0.05, Alpha: 1.5, Cap: 8}},
+				Drifts:  []fault.Drift{{Link: -1, Window: 16, Frac: 0.2, Period: 64, Stride: 1}},
+				Churns:  []fault.Churn{{Link: 0, Up: 48, Down: 2}},
+			}
+		}},
+		{"recorder", func(c *sim.Config) { c.Recorder = obs.NewBuffer() }},
+	} {
+		b.Run(layer.name, func(b *testing.B) {
+			var took [2]time.Duration // off, on
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < 2; k++ {
+					on := (i + k) % 2 // off first on even iterations
+					cfg := base
+					if on == 1 {
+						layer.on(&cfg)
 					}
+					start := time.Now()
 					if _, err := sim.Run(cfg); err != nil {
 						b.Fatal(err)
 					}
+					took[on] += time.Since(start)
 				}
-			})
-		}
+			}
+			b.ReportMetric(float64(took[1])/float64(took[0]), "on/off")
+		})
 	}
 }
 
 // BenchmarkObsAnalyze measures the post-run analysis pipeline (stream ->
 // stall attribution + critical path) on a recorded mid-size run.
 func BenchmarkObsAnalyze(b *testing.B) {
-	delays := nowLine(1024, 3)
-	t := tree.Build(delays, 4)
-	a, err := assign.TwoLevel(t, 2, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rec := obs.NewBuffer()
-	cfg := sim.Config{
-		Delays:   delays,
-		Guest:    guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: 64, Seed: 7},
-		Assign:   a,
-		Recorder: rec,
-	}
+	cfg := engineConfig(b, 1024, 64, 0)
+	cfg.Recorder = rec
 	res, err := sim.Run(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -1,404 +1,370 @@
-// Command benchcmp is the benchmark regression harness: it parses `go test
-// -bench` output, maintains a JSON baseline (BENCH_1.json at the repo root),
-// and flags pebbles/sec regressions beyond a threshold.
-//
-// The baseline keeps the raw benchmark lines alongside the parsed figures,
-// so `jq -r '.raw[]' BENCH_1.json > old.txt` yields a file benchstat can
-// consume directly against a fresh run.
+// Command benchcmp is the benchmark A/B: it runs the repository benchmark
+// (perfbench/run.sh, described by BENCHMARK.json) on a base revision and on
+// the current checkout in alternating pairs, and reports for every
+// end-to-end metric the median head/base ratio with a bootstrap 95%
+// interval.
 //
 // Usage:
 //
-//	go test -run '^$' -bench Engine -benchtime 3x . > bench.out
-//	benchcmp -write BENCH_1.json bench.out            # record a baseline
-//	benchcmp -baseline BENCH_1.json bench.out         # compare, exit 1 on regression
-//	benchcmp -baseline BENCH_1.json -report-only bench.out  # compare, always exit 0
-//	benchcmp -diff-latest .                           # newest two BENCH_*.json vs each other
+//	benchcmp -ab <rev> [-workload run-large] [-seed 1]
 //
-// -diff-latest compares the two highest-numbered BENCH_*.json files in a
-// directory (the PR-over-PR history) and fails only on sequential-engine
-// regressions beyond 15%: parallel figures vary with the runner's core
-// count, but the sequential engine must never get slower.
+// Side A is <rev>, checked out with `git worktree add --detach` under
+// .bench_build/ab/; side B is the current checkout, uncommitted changes
+// included. Each workload (default: every workload in BENCHMARK.json) runs
+// for BENCHMARK.json's run_seconds per side in abPairs pairs ordered A B,
+// B A, A B, … so that drift on a shared host falls on both sides alike.
+// Every raw run output is kept under .bench_build/ab/.
 //
-// -mem-threshold (with -diff-latest) additionally gates bytes/pebble: unlike
-// wall time, allocation per pebble is nearly machine-independent, so the
-// memory gate applies to every compared benchmark, not just the sequential
-// engine. Zero (the default) leaves memory report-only.
+// A metric is better or worse when its interval lies wholly on that side of
+// 1.0, and unresolved otherwise. The exit status is 1 when a metric's
+// interval lies wholly past the metric's bound in the worse direction, when
+// B fails a larger share of ops than A, or when a run cannot be made; 3
+// when the two sides ran on machines with different fingerprints; 2 on a
+// usage error.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
-// Benchmark is one parsed benchmark result. Metrics holds every per-op
-// figure go test reported (ns/op, pebbles/op, custom ReportMetric units).
-type Benchmark struct {
-	Name      string             `json:"name"`
-	Iters     int64              `json:"iters"`
-	NsPerOp   float64            `json:"ns_per_op"`
-	Metrics   map[string]float64 `json:"metrics,omitempty"`
-	PebblesPS float64            `json:"pebbles_per_sec,omitempty"`
-	// BytesPerPebble is B/op divided by pebbles/op — the engine's allocation
-	// footprint per unit of useful work (needs -benchmem or b.ReportAllocs).
-	BytesPerPebble float64 `json:"bytes_per_pebble,omitempty"`
-	// PeakRSSBytes is the "rss-bytes" custom metric (ReportMetric): peak
-	// resident set during the benchmark, 0 where the bench doesn't report it.
-	PeakRSSBytes float64 `json:"peak_rss_bytes,omitempty"`
+// abPairs is the number of interleaved pairs per workload. On a shared
+// 2-CPU host the B/A ratio of one run-large pair spreads by about 8%, so
+// resampling the observed pair noise, a planted 5% pebbles_per_s loss is
+// caught 59% of the time with 20 pairs, 84% with 40 and 95% with 60, and
+// about 5% of null comparisons are flagged (CHANGES.md records the runs).
+// Raise it here, not with a flag, if that stops holding.
+const abPairs = 40
+
+// bootstrapReps is the number of resamples behind each interval.
+const bootstrapReps = 10000
+
+// spec is the part of BENCHMARK.json the A/B reads.
+type spec struct {
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
 }
 
-// Baseline is the persisted BENCH_1.json schema.
-type Baseline struct {
-	RecordedAt string      `json:"recorded_at"`
-	GoVersion  string      `json:"go_version"`
-	GOOS       string      `json:"goos"`
-	GOARCH     string      `json:"goarch"`
-	Notes      []string    `json:"notes,omitempty"`
-	Raw        []string    `json:"raw"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "higher" or "lower"
+	Bound  float64 `json:"bound"`  // worst tolerated relative change
 }
 
-// noteFlags collects repeated -note values.
-type noteFlags []string
+// output is one perfbench run: its machine fingerprint and its result
+// object (the last line of standard output).
+type output struct {
+	Machine   string
+	Attempted int
+	Failed    int
+	Metrics   map[string]float64
+}
 
-func (n *noteFlags) String() string     { return strings.Join(*n, "; ") }
-func (n *noteFlags) Set(s string) error { *n = append(*n, s); return nil }
-
-// benchLine matches e.g.
-//
-//	BenchmarkEngineSequential-8   3   289148195 ns/op   520960 pebbles/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
-
-// trimCPU drops the -N GOMAXPROCS suffix so baselines transfer across
-// machines with different core counts.
-func trimCPU(name string) string {
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+func parseOutput(data []byte) (*output, error) {
+	out := &output{}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	for _, line := range lines {
+		if rest, ok := bytes.CutPrefix(line, []byte("machine ")); ok {
+			var m struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(rest, &m); err != nil {
+				return nil, fmt.Errorf("machine line: %v", err)
+			}
+			out.Machine = m.ID
 		}
 	}
-	return name
+	var res struct {
+		Attempted int `json:"attempted"`
+		Failed    int `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
+		return nil, fmt.Errorf("no result object on the last line: %v", err)
+	}
+	if out.Machine == "" {
+		return nil, fmt.Errorf("no machine fingerprint")
+	}
+	out.Attempted, out.Failed = res.Attempted, res.Failed
+	out.Metrics = make(map[string]float64, len(res.Metrics))
+	for k, v := range res.Metrics {
+		out.Metrics[k] = v.Value
+	}
+	return out, nil
 }
 
-func parse(data string) ([]Benchmark, []string) {
-	var out []Benchmark
-	var raw []string
-	for _, line := range strings.Split(data, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
+// runFunc runs one side ("A" or "B") of one workload and returns its raw
+// standard output.
+type runFunc func(side, workload string) ([]byte, error)
+
+// ab runs every workload in abPairs interleaved pairs, prints the report to
+// w, keeps each raw output in saveDir (when non-empty) and returns the exit
+// status.
+func ab(sp *spec, workloads []string, run runFunc, saveDir string, w io.Writer) int {
+	status := 0
+	machine := ""
+	for _, wl := range workloads {
+		var outs [2][]*output
+		for pair := 0; pair < abPairs; pair++ {
+			order := []int{0, 1}
+			if pair%2 == 1 {
+				order = []int{1, 0}
+			}
+			for _, s := range order {
+				side := "AB"[s : s+1]
+				raw, err := run(side, wl)
+				if saveDir != "" {
+					name := fmt.Sprintf("%s-pair%02d-%s.log", wl, pair, side)
+					if werr := os.WriteFile(filepath.Join(saveDir, name), raw, 0o644); werr != nil && err == nil {
+						err = werr
+					}
+				}
+				var o *output
+				if err == nil {
+					o, err = parseOutput(raw)
+				}
+				if err != nil {
+					fmt.Fprintf(w, "benchcmp: %s pair %d side %s: %v\n", wl, pair, side, err)
+					return 1
+				}
+				if machine == "" {
+					machine = o.Machine
+				}
+				if o.Machine != machine {
+					fmt.Fprintf(w, "benchcmp: not comparable: %s pair %d side %s ran on machine %s, earlier runs on %s\n",
+						wl, pair, side, o.Machine, machine)
+					return 3
+				}
+				outs[s] = append(outs[s], o)
+			}
 		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		b := Benchmark{Name: trimCPU(m[1]), Iters: iters, Metrics: map[string]float64{}}
-		fields := strings.Fields(m[3])
-		for i := 0; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+		if report(w, sp, wl, outs[0], outs[1]) {
+			status = 1
+		}
+	}
+	return status
+}
+
+// report prints one workload's comparison and says whether it fails.
+func report(w io.Writer, sp *spec, wl string, a, b []*output) bool {
+	fmt.Fprintf(w, "\n%s: %d pairs, machine %s; each side's median [quartiles], then B/A per pair\n", wl, len(a), a[0].Machine)
+	fmt.Fprintf(w, "  %-16s %-34s %-34s %8s  %-19s %5s  %s\n", "metric", "A", "B", "B/A", "95% interval", "won", "verdict")
+	fail := false
+	for _, m := range sp.EndToEnd {
+		rs := make([]float64, 0, len(a))
+		var avs, bvs []float64
+		won := 0
+		for i := range a {
+			av, aok := a[i].Metrics[m.Name]
+			bv, bok := b[i].Metrics[m.Name]
+			if !aok || !bok || av == 0 {
 				continue
 			}
-			unit := fields[i+1]
-			b.Metrics[unit] = v
-			if unit == "ns/op" {
-				b.NsPerOp = v
+			r := bv / av
+			rs = append(rs, r)
+			avs, bvs = append(avs, av), append(bvs, bv)
+			if m.Better == "higher" && r > 1 || m.Better == "lower" && r < 1 {
+				won++
 			}
 		}
-		if p, ok := b.Metrics["pebbles/op"]; ok && b.NsPerOp > 0 {
-			b.PebblesPS = p / (b.NsPerOp * 1e-9)
-			if alloc, ok := b.Metrics["B/op"]; ok && p > 0 {
-				b.BytesPerPebble = alloc / p
-			}
-		}
-		if rss, ok := b.Metrics["rss-bytes"]; ok {
-			b.PeakRSSBytes = rss
-		}
-		out = append(out, b)
-		raw = append(raw, strings.TrimSpace(line))
-	}
-	return out, raw
-}
-
-func readInput(path string) (string, error) {
-	if path == "-" {
-		var sb strings.Builder
-		buf := make([]byte, 64<<10)
-		for {
-			n, err := os.Stdin.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				return sb.String(), nil
-			}
-		}
-	}
-	data, err := os.ReadFile(path)
-	return string(data), err
-}
-
-// seqEngine reports whether a benchmark exercises the sequential engine —
-// the regression gate for -diff-latest. Parallel figures vary with the
-// runner's core count; the sequential engine must never get slower.
-func seqEngine(name string) bool {
-	return strings.Contains(name, "EngineSequential") || strings.HasSuffix(name, "workers=0")
-}
-
-// loadBaseline reads and parses one persisted baseline JSON.
-func loadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &b, nil
-}
-
-// diffLatest compares the two highest-numbered BENCH_*.json files in dir.
-// Only sequential-engine regressions beyond the threshold fail (gateAll
-// widens the gate to every compared benchmark); everything else is reported.
-// A non-empty only restricts the comparison to benchmarks whose name
-// contains it — and failing when it matches nothing, so a renamed benchmark
-// cannot silently turn a CI gate into a no-op. memThreshold > 0 gates
-// bytes/pebble growth on every compared benchmark (allocation per pebble is
-// nearly machine-independent, unlike wall time); 0 leaves memory
-// report-only. Returns the process exit code.
-func diffLatest(dir string, threshold float64, reportOnly bool, only string, gateAll bool, memThreshold float64) int {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		return 1
-	}
-	numRE := regexp.MustCompile(`BENCH_(\d+)\.json$`)
-	type numbered struct {
-		n    int
-		path string
-	}
-	var files []numbered
-	for _, p := range paths {
-		if m := numRE.FindStringSubmatch(p); m != nil {
-			n, _ := strconv.Atoi(m[1])
-			files = append(files, numbered{n, p})
-		}
-	}
-	if len(files) < 2 {
-		fmt.Printf("benchcmp: found %d baseline(s) in %s, nothing to diff\n", len(files), dir)
-		return 0
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].n < files[j].n })
-	prev, cur := files[len(files)-2], files[len(files)-1]
-	prevBase, err := loadBaseline(prev.path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		return 1
-	}
-	curBase, err := loadBaseline(cur.path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		return 1
-	}
-	gate := "sequential engine"
-	if gateAll {
-		gate = "all compared"
-	}
-	memGate := "report-only"
-	if memThreshold > 0 {
-		memGate = fmt.Sprintf("%.0f%%", 100*memThreshold)
-	}
-	fmt.Printf("benchcmp: diffing %s -> %s (gate: %s, %.0f%%; memory: %s)\n",
-		prev.path, cur.path, gate, 100*threshold, memGate)
-	byName := make(map[string]Benchmark, len(prevBase.Benchmarks))
-	for _, b := range prevBase.Benchmarks {
-		byName[b.Name] = b
-	}
-	regressions, compared := 0, 0
-	for _, b := range curBase.Benchmarks {
-		if only != "" && !strings.Contains(b.Name, only) {
+		if len(rs) < len(a) {
+			fmt.Fprintf(w, "  %-16s not measured on every run\n", m.Name)
 			continue
 		}
-		compared++
-		old, ok := byName[b.Name]
-		if !ok {
-			fmt.Printf("%-55s NEW (no entry in %s)\n", b.Name, prev.path)
-			continue
+		lo, hi := bootstrap(rs, rand.New(rand.NewSource(1)))
+		v := verdict(m, lo, hi)
+		if v == "FAIL" {
+			fail = true
 		}
-		var delta float64
-		var unit string
-		switch {
-		case b.PebblesPS > 0 && old.PebblesPS > 0:
-			delta = -(b.PebblesPS/old.PebblesPS - 1) // higher throughput is better
-			unit = fmt.Sprintf("%12.0f -> %12.0f pebbles/sec", old.PebblesPS, b.PebblesPS)
-		case b.NsPerOp > 0 && old.NsPerOp > 0:
-			delta = b.NsPerOp/old.NsPerOp - 1 // higher wall time is worse
-			unit = fmt.Sprintf("%12.0f -> %12.0f ns/op      ", old.NsPerOp, b.NsPerOp)
-		default:
-			fmt.Printf("%-55s no comparable metric\n", b.Name)
-			continue
-		}
-		status := "ok"
-		if delta > threshold {
-			if gateAll || seqEngine(b.Name) {
-				status = "REGRESSION"
-				regressions++
-			} else {
-				status = "slower (ungated)"
-			}
-		}
-		fmt.Printf("%-55s %s  %+6.1f%%  %s\n", b.Name, unit, -100*delta, status)
-		if b.BytesPerPebble > 0 && old.BytesPerPebble > 0 {
-			memDelta := b.BytesPerPebble/old.BytesPerPebble - 1
-			memStatus := "(memory, ungated)"
-			if memThreshold > 0 {
-				memStatus = "memory ok"
-				if memDelta > memThreshold {
-					memStatus = "MEMORY REGRESSION"
-					regressions++
-				}
-			}
-			fmt.Printf("%-55s %12.1f -> %12.1f bytes/pebble %+6.1f%%  %s\n",
-				"", old.BytesPerPebble, b.BytesPerPebble, 100*memDelta, memStatus)
-		}
-		if b.PeakRSSBytes > 0 && old.PeakRSSBytes > 0 {
-			// Peak RSS depends on GC timing and the host; always report-only.
-			fmt.Printf("%-55s %12.1f -> %12.1f MB peak RSS  %+6.1f%%  (rss, ungated)\n",
-				"", old.PeakRSSBytes/(1<<20), b.PeakRSSBytes/(1<<20),
-				100*(b.PeakRSSBytes/old.PeakRSSBytes-1))
-		}
+		fmt.Fprintf(w, "  %-16s %-34s %-34s %8.4f  [%.4f, %.4f]  %2d/%d  %s\n",
+			m.Name, quartiles(avs), quartiles(bvs), median(rs), lo, hi, won, len(rs), v)
 	}
-	if only != "" && compared == 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: -only %q matched no benchmark in %s — the gate would be vacuous\n",
-			only, cur.path)
+	fa, fb := failShare(a), failShare(b)
+	fmt.Fprintf(w, "  failed ops: A %g, B %g\n", fa, fb)
+	if fb > fa {
+		fmt.Fprintln(w, "  FAIL: B fails a larger share of ops than A")
+		fail = true
+	}
+	return fail
+}
+
+// verdict classifies a metric's interval of B/A ratios: "better" or
+// "worse" when it lies wholly on that side of 1.0, "FAIL" when it lies
+// wholly past the metric's bound in the worse direction (a relative change
+// worse than bound), and "unresolved" otherwise.
+func verdict(m metricSpec, lo, hi float64) string {
+	// Turn the interval into relative changes where positive is worse.
+	worseLo, worseHi := lo-1, hi-1
+	if m.Better == "higher" {
+		worseLo, worseHi = 1-hi, 1-lo
+	}
+	switch {
+	case worseLo > m.Bound:
+		return "FAIL"
+	case worseLo > 0:
+		return "worse"
+	case worseHi < 0:
+		return "better"
+	}
+	return "unresolved"
+}
+
+func failShare(outs []*output) float64 {
+	att, failed := 0, 0
+	for _, o := range outs {
+		att += o.Attempted
+		failed += o.Failed
+	}
+	if att == 0 {
 		return 1
 	}
-	if regressions > 0 {
-		fmt.Printf("benchcmp: %d gated regression(s) beyond %.0f%%\n", regressions, 100*threshold)
-		if !reportOnly {
-			return 1
-		}
-		fmt.Println("benchcmp: report-only mode, not failing")
+	return float64(failed) / float64(att)
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+// quantile interpolates linearly between the order statistics of xs.
+func quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
 	}
-	return 0
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+// quartiles formats the median and quartiles of xs.
+func quartiles(xs []float64) string {
+	return fmt.Sprintf("%.4g [%.4g, %.4g]", median(xs), quantile(xs, 0.25), quantile(xs, 0.75))
+}
+
+// bootstrap is the percentile bootstrap 95% interval of the median of xs.
+func bootstrap(xs []float64, rng *rand.Rand) (lo, hi float64) {
+	meds := make([]float64, bootstrapReps)
+	buf := make([]float64, len(xs))
+	for i := range meds {
+		for j := range buf {
+			buf[j] = xs[rng.Intn(len(xs))]
+		}
+		meds[i] = median(buf)
+	}
+	sort.Float64s(meds)
+	return meds[bootstrapReps*25/1000], meds[bootstrapReps*975/1000-1]
+}
+
+// perfbench returns a runFunc that runs each side's own perfbench/run.sh
+// from that side's checkout root.
+func perfbench(roots [2]string, seed int64, seconds float64) runFunc {
+	return func(side, workload string) ([]byte, error) {
+		cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload,
+			"--seed", strconv.FormatInt(seed, 10),
+			"--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
+		cmd.Dir = roots[strings.Index("AB", side)]
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			err = fmt.Errorf("%v: %s", err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		return out, err
+	}
+}
+
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, bytes.TrimSpace(out))
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 func main() {
-	write := flag.String("write", "", "record a baseline JSON at this path and exit")
-	baseline := flag.String("baseline", "", "compare against this baseline JSON")
-	threshold := flag.Float64("threshold", 0.10, "pebbles/sec regression fraction that fails the comparison")
-	reportOnly := flag.Bool("report-only", false, "report regressions but always exit 0")
-	latest := flag.String("diff-latest", "", "compare the newest two BENCH_*.json files in this directory (gate: sequential engine, 15% unless -threshold is set)")
-	only := flag.String("only", "", "with -diff-latest, restrict the comparison to benchmarks whose name contains this substring (fails if nothing matches)")
-	gateAll := flag.Bool("gate-all", false, "with -diff-latest, gate every compared benchmark on the threshold, not just the sequential engine")
-	memThreshold := flag.Float64("mem-threshold", 0, "with -diff-latest, bytes/pebble growth fraction that fails the comparison for every compared benchmark (0 = report-only)")
-	var notes noteFlags
-	flag.Var(&notes, "note", "free-form note stored in the baseline (repeatable, with -write)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:]))
+}
 
-	if *latest != "" {
-		th := 0.15
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threshold" {
-				th = *threshold
-			}
-		})
-		os.Exit(diffLatest(*latest, th, *reportOnly, *only, *gateAll, *memThreshold))
+func run(args []string) int {
+	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
+	rev := fs.String("ab", "", "base revision (side A); side B is the current checkout")
+	workload := fs.String("workload", "", "run only this workload (default: every workload in BENCHMARK.json)")
+	seed := fs.Int64("seed", 1, "perfbench workload seed; confirm a claim on the hold-out seed 7919, which tuning the benchmark never used")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	if flag.NArg() != 1 || (*write == "") == (*baseline == "") {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp (-write out.json | -baseline base.json [-report-only] | -diff-latest dir) bench.out|-")
-		os.Exit(2)
+	if *rev == "" || fs.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchcmp -ab <rev> [-workload W] [-seed S]")
+		return 2
 	}
-	data, err := readInput(flag.Arg(0))
+	root, err := git(".", "rev-parse", "--show-toplevel")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		return 1
 	}
-	benches, raw := parse(data)
-	if len(benches) == 0 {
-		fmt.Fprintln(os.Stderr, "benchcmp: no benchmark lines found in input")
-		os.Exit(1)
+	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	var sp spec
+	if err == nil {
+		err = json.Unmarshal(data, &sp)
 	}
-
-	if *write != "" {
-		b := Baseline{
-			RecordedAt: time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			Notes:      notes,
-			Raw:        raw,
-			Benchmarks: benches,
-		}
-		out, err := json.MarshalIndent(&b, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchcmp:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*write, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchcmp:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchcmp: recorded %d benchmarks to %s\n", len(benches), *write)
-		return
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcmp: BENCHMARK.json:", err)
+		return 1
 	}
-
-	var base Baseline
-	bdata, err := os.ReadFile(*baseline)
+	var workloads []string
+	for _, wl := range sp.Workloads {
+		if *workload == "" || *workload == wl.Name {
+			workloads = append(workloads, wl.Name)
+		}
+	}
+	if len(workloads) == 0 {
+		fmt.Fprintf(os.Stderr, "benchcmp: BENCHMARK.json has no workload %q\n", *workload)
+		return 2
+	}
+	sha, err := git(root, "rev-parse", "--verify", *rev+"^{commit}")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		return 1
 	}
-	if err := json.Unmarshal(bdata, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "benchcmp: %s: %v\n", *baseline, err)
-		os.Exit(1)
+	saveDir := filepath.Join(root, ".bench_build", "ab")
+	base := filepath.Join(saveDir, "base")
+	// Clear a worktree an interrupted run left behind.
+	err = os.RemoveAll(base)
+	if err == nil {
+		err = os.MkdirAll(saveDir, 0o755)
 	}
-	byName := make(map[string]Benchmark, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		byName[b.Name] = b
+	if err == nil {
+		_, err = git(root, "worktree", "prune")
 	}
-
-	regressions := 0
-	for _, b := range benches {
-		old, ok := byName[b.Name]
-		if !ok {
-			fmt.Printf("%-55s NEW (no baseline entry)\n", b.Name)
-			continue
+	if err == nil {
+		_, err = git(root, "worktree", "add", "--detach", base, sha)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcmp:", err)
+		return 1
+	}
+	defer func() {
+		if _, err := git(root, "worktree", "remove", "--force", base); err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		}
-		switch {
-		case b.PebblesPS > 0 && old.PebblesPS > 0:
-			delta := b.PebblesPS/old.PebblesPS - 1
-			status := "ok"
-			if delta < -*threshold {
-				status = "REGRESSION"
-				regressions++
-			}
-			fmt.Printf("%-55s %12.0f -> %12.0f pebbles/sec  %+6.1f%%  %s\n",
-				b.Name, old.PebblesPS, b.PebblesPS, 100*delta, status)
-		case b.NsPerOp > 0 && old.NsPerOp > 0:
-			// No throughput metric: fall back to wall time (higher is worse).
-			delta := b.NsPerOp/old.NsPerOp - 1
-			status := "ok"
-			if delta > *threshold {
-				status = "REGRESSION"
-				regressions++
-			}
-			fmt.Printf("%-55s %12.0f -> %12.0f ns/op        %+6.1f%%  %s\n",
-				b.Name, old.NsPerOp, b.NsPerOp, 100*delta, status)
-		default:
-			fmt.Printf("%-55s no comparable metric\n", b.Name)
-		}
-	}
-	if regressions > 0 {
-		fmt.Printf("benchcmp: %d regression(s) beyond %.0f%%\n", regressions, 100**threshold)
-		if !*reportOnly {
-			os.Exit(1)
-		}
-		fmt.Println("benchcmp: report-only mode, not failing")
-	}
+	}()
+	fmt.Printf("benchcmp: A = %s (%s), B = %s, seed %d, %g s per run, raw outputs in %s\n",
+		*rev, sha[:12], root, *seed, sp.RunSeconds, saveDir)
+	return ab(&sp, workloads, perfbench([2]string{base, root}, *seed, sp.RunSeconds), saveDir, os.Stdout)
 }

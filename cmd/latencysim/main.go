@@ -12,7 +12,7 @@
 //	latencysim plan   -host @host.json
 //	latencysim lower  -host h2 -n 1024 [-path]
 //	latencysim verify -seed 1 -n 200
-//	latencysim exp    [-scale full] [-md] [-only E3]
+//	latencysim exp    [-scale full] [-md] [-only E3] [-csvdir experiments-csv] [-j 4]
 package main
 
 import (
@@ -81,13 +81,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "latencysim: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func usage() {
@@ -706,8 +699,10 @@ func cmdSweep(args []string) error {
 func cmdExp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
 	scaleStr := fs.String("scale", "quick", "experiment scale: quick|full")
-	md := fs.Bool("md", false, "emit markdown tables")
+	md := fs.Bool("md", false, "emit markdown tables (a full run also prints the EXPERIMENTS-data.md header)")
 	only := fs.String("only", "", "run a single experiment, e.g. E3")
+	csvDir := fs.String("csvdir", "", "write each table as CSV into this directory instead of printing it")
+	jobs := fs.Int("j", 0, "experiments to run concurrently (0 = GOMAXPROCS, 1 = sequential)")
 	manifestOut, liveFlag := manifestFlags(fs)
 	fs.Parse(args)
 
@@ -717,29 +712,47 @@ func cmdExp(args []string) error {
 	}
 	mr := startMRun("exp", args, *manifestOut, *liveFlag)
 	mr.startSampling()
-	if *only != "" {
-		e := expt.Get(strings.ToUpper(*only))
-		if e == nil {
-			return fmt.Errorf("unknown experiment %q", *only)
+	if *only != "" || *csvDir != "" {
+		exps := expt.All()
+		scenario := fmt.Sprintf("all experiments scale=%s", *scaleStr)
+		if *only != "" {
+			e := expt.Get(strings.ToUpper(*only))
+			if e == nil {
+				return fmt.Errorf("unknown experiment %q", *only)
+			}
+			exps = []*expt.Experiment{e}
+			scenario = fmt.Sprintf("experiment %s scale=%s", e.ID, *scaleStr)
 		}
-		fmt.Printf("=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
-		start := time.Now()
-		tables, err := e.Run(scale)
-		wall := time.Since(start)
-		if err != nil {
-			return err
-		}
-		for _, t := range tables {
-			if *md {
-				t.Markdown(os.Stdout)
-			} else {
-				t.Fprint(os.Stdout)
-				fmt.Println()
+		for _, e := range exps {
+			if *csvDir == "" {
+				fmt.Printf("=== %s: %s (%s) ===\n\n", e.ID, e.Title, e.Paper)
+			}
+			start := time.Now()
+			tables, err := e.Run(scale)
+			wall := time.Since(start)
+			switch {
+			case err != nil:
+				return fmt.Errorf("%s: %v", e.ID, err)
+			case *csvDir != "":
+				if err := writeCSVs(*csvDir, e.ID, tables); err != nil {
+					return err
+				}
+			default:
+				for _, t := range tables {
+					if *md {
+						t.Markdown(os.Stdout)
+					} else {
+						t.Fprint(os.Stdout)
+						fmt.Println()
+					}
+				}
+			}
+			if mr != nil {
+				mr.m.Experiments = append(mr.m.Experiments, telemetry.ExpTiming{ID: e.ID, WallSeconds: wall.Seconds()})
 			}
 		}
 		if mr != nil {
-			mr.m.Scenario = fmt.Sprintf("experiment %s scale=%s", e.ID, *scaleStr)
-			mr.m.Experiments = []telemetry.ExpTiming{{ID: e.ID, WallSeconds: wall.Seconds()}}
+			mr.m.Scenario = scenario
 		}
 		return mr.finish()
 	}
@@ -758,7 +771,12 @@ func cmdExp(args []string) error {
 	if mr != nil && mr.live != nil {
 		out = &buf
 	}
-	timings, runErr := expt.RunAllTimed(out, scale, *md, 0, func(done, total int, id string) {
+	if *md {
+		fmt.Fprintf(out, "# Experiment data (%s scale)\n\n", *scaleStr)
+		fmt.Fprintf(out, "Generated by `latencysim exp -scale %s -md`. See DESIGN.md for the per-experiment\n", *scaleStr)
+		fmt.Fprintln(out, "index and EXPERIMENTS.md for the paper-vs-measured discussion.")
+	}
+	timings, runErr := expt.RunAllTimed(out, scale, *md, *jobs, func(done, total int, id string) {
 		status.Lock()
 		status.line = fmt.Sprintf("exp: %d/%d done (last %s)", done, total, id)
 		status.Unlock()
@@ -778,4 +796,23 @@ func cmdExp(args []string) error {
 		}
 	}
 	return mr.finish()
+}
+
+// writeCSVs writes an experiment's tables into dir as ID.csv, or ID-1.csv,
+// ID-2.csv, … when it has several, and names each file on stdout.
+func writeCSVs(dir, id string, tables []*metrics.Table) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i, t := range tables {
+		name := id + ".csv"
+		if len(tables) > 1 {
+			name = fmt.Sprintf("%s-%d.csv", id, i+1)
+		}
+		if err := t.CSVFile(filepath.Join(dir, name)); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", filepath.Join(dir, name))
+	}
+	return nil
 }

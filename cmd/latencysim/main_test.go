@@ -130,6 +130,21 @@ func TestSpark(t *testing.T) {
 	}
 }
 
+func TestExpCSVDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := cmdExp([]string{"-scale", "quick", "-only", "E1", "-csvdir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "E1.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 2 || !strings.HasPrefix(lines[0], "n,d_ave,") {
+		t.Fatalf("E1.csv is not a header plus rows:\n%s", data)
+	}
+}
+
 // Smoke tests: drive each subcommand's implementation directly on tiny
 // inputs (they print to stdout, which `go test` captures).
 func TestSubcommandSmoke(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"latencyhide/internal/assign"
 	"latencyhide/internal/guest"
+	"latencyhide/internal/obs"
 )
 
 func unitDelays(n int) []int {
@@ -262,22 +263,39 @@ func TestMaxStepsExceeded(t *testing.T) {
 }
 
 func TestPerProcCollection(t *testing.T) {
+	// Per-workstation compute counts come from the event stream: every
+	// compute event names its proc, and the counts must cover all hostN
+	// procs and sum to PebblesComputed.
 	a, _ := assign.SingleCopyBlocks(4, 8)
+	rec := obs.NewBuffer()
 	res, err := Run(Config{
-		Delays:         unitDelays(4),
-		Guest:          guest.Spec{Graph: guest.NewLinearArray(8), Steps: 3, Seed: 1},
-		Assign:         a,
-		CollectPerProc: true,
+		Delays:   unitDelays(4),
+		Guest:    guest.Spec{Graph: guest.NewLinearArray(8), Steps: 3, Seed: 1},
+		Assign:   a,
+		Recorder: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	perProc := make([]int64, 4)
 	var sum int64
-	for _, c := range res.PerProcComputed {
-		sum += c
+	for _, e := range rec.Events() {
+		if e.Kind != obs.KindCompute {
+			continue
+		}
+		if e.Proc < 0 || int(e.Proc) >= len(perProc) {
+			t.Fatalf("compute event on proc %d of %d", e.Proc, len(perProc))
+		}
+		perProc[e.Proc]++
+		sum++
 	}
-	if sum != res.PebblesComputed || len(res.PerProcComputed) != 4 {
-		t.Fatalf("per-proc %v vs total %d", res.PerProcComputed, res.PebblesComputed)
+	if sum != res.PebblesComputed {
+		t.Fatalf("per-proc %v vs total %d", perProc, res.PebblesComputed)
+	}
+	for p, c := range perProc {
+		if c == 0 {
+			t.Fatalf("proc %d computed nothing: %v", p, perProc)
+		}
 	}
 }
 

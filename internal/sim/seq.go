@@ -158,14 +158,6 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 		}
 		res.Trace = tr
 	}
-	if cfg.CollectPerProc {
-		res.PerProcComputed = make([]int64, cfg.hostN())
-		for _, c := range chunks {
-			for i := range c.procs {
-				res.PerProcComputed[c.procs[i].pos] = c.procs[i].computed
-			}
-		}
-	}
 	if cfg.ast != nil {
 		res.AdaptActivations = len(cfg.ast.decisions)
 	}

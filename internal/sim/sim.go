@@ -67,8 +67,6 @@ type Config struct {
 	// Check verifies every database replica's final digest against the
 	// sequential reference executor.
 	Check bool
-	// CollectPerProc retains per-workstation compute counts in the result.
-	CollectPerProc bool
 	// TraceWindow > 0 collects a utilization timeline: pebbles computed
 	// and link crossings per window of that many host steps.
 	TraceWindow int
@@ -223,8 +221,6 @@ type Result struct {
 	// AdaptActivations is how many standby replicas the adaptive controller
 	// activated (0 unless Config.Adapt is enabled).
 	AdaptActivations int
-
-	PerProcComputed []int64 // only when CollectPerProc
 
 	// Trace is the utilization timeline when Config.TraceWindow > 0.
 	Trace *Trace

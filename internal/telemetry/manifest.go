@@ -10,7 +10,7 @@ import (
 
 // ManifestSchema identifies the manifest format; bump the suffix on
 // incompatible changes so downstream tooling (sweep results stores,
-// benchcmp-style differs) can dispatch.
+// manifest differs) can dispatch.
 const ManifestSchema = "latencyhide/run-manifest/v1"
 
 // StallSummary is the stall-cause tiling of a recorded run (see
