@@ -19,6 +19,7 @@ ci: check-binaries
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	$(GO) test -race -shuffle=on ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail if any tracked file is a compiled binary (ELF or Mach-O magic) or a
 # test/benchmark artifact by name (bench.out, cover.out, *.test, fleet

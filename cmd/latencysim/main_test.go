@@ -192,6 +192,41 @@ func TestSubcommandSmoke(t *testing.T) {
 	}
 }
 
+// captureStdout runs f with os.Stdout redirected into a pipe and returns
+// what it printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	out := <-done
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
+}
+
+// `run -trace` on the sequential engine is deterministic, so its whole
+// report, sparklines included, is pinned as a golden file.
+func TestRunTraceGolden(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdRun([]string{"-host", "random", "-n", "64", "-steps", "16", "-trace"})
+	})
+	checkGolden(t, "run_trace", got)
+}
+
 // The trace subcommand must emit a structurally valid Chrome trace-event
 // file plus the JSON summary and CSV exports.
 func TestTraceSubcommand(t *testing.T) {

@@ -8,12 +8,12 @@
 // The stream is canonical: events are totally ordered by
 // (step, kind, proc, link, dir, col, gstep, route), so the sequential and
 // parallel engines — which produce the same event multiset step by step —
-// hand identical streams to any Recorder. This extends the engines'
+// hand identical streams to the run's Buffer. This extends the engines'
 // bit-identical-results guarantee to the observability layer; tests in
 // internal/sim assert it.
 //
 // Recording is opt-in and costs nothing when disabled: the engine guards
-// every record call behind a nil check on its Recorder.
+// every record call behind a nil check on its chunk buffer.
 package obs
 
 import "sort"
@@ -157,31 +157,10 @@ func (f FaultKind) String() string {
 	}
 }
 
-// Recorder receives engine events. The engine buffers per chunk and replays
-// the merged, canonically ordered stream into the configured Recorder at the
-// end of the run, so implementations need not be safe for concurrent use.
-type Recorder interface {
-	RecordCompute(step int64, proc, col, gstep int32)
-	RecordInject(step int64, proc, link int32, dir int8, route, col, gstep int32)
-	RecordDeliver(step int64, proc, route, col, gstep int32)
-}
-
-// FaultRecorder is optionally implemented by Recorders that want the fault
-// telemetry spans (KindFault) a faulty run synthesises; Replay skips them
-// for plain Recorders, so existing implementations keep working unchanged.
-type FaultRecorder interface {
-	RecordFault(step int64, fault FaultKind, proc, link int32, dur int64)
-}
-
-// AdaptRecorder is optionally implemented by Recorders that want the
-// adaptive-replication controller's activation decisions (KindAdapt);
-// Replay skips them for plain Recorders.
-type AdaptRecorder interface {
-	RecordAdapt(step int64, proc, col int32)
-}
-
-// Buffer is the standard Recorder: it appends events to memory for later
-// analysis and export.
+// Buffer is the run's event sink: the engine records into one buffer per
+// chunk and hands the merged, canonically ordered stream to the configured
+// buffer at the end of the run (Append), so a Buffer need not be safe for
+// concurrent use.
 type Buffer struct {
 	events []Event
 }
@@ -210,17 +189,15 @@ func (b *Buffer) RecordDeliver(step int64, proc, route, col, gstep int32) {
 	})
 }
 
-func (b *Buffer) RecordFault(step int64, fault FaultKind, proc, link int32, dur int64) {
-	b.events = append(b.events, Event{
-		Step: step, Kind: KindFault, Fault: fault, Proc: proc, Link: link,
-		Dur: dur, Route: -1,
-	})
-}
-
-func (b *Buffer) RecordAdapt(step int64, proc, col int32) {
-	b.events = append(b.events, Event{
-		Step: step, Kind: KindAdapt, Proc: proc, Col: col, Link: -1, Route: -1,
-	})
+// Append adds events to the buffer. An empty buffer adopts the slice
+// without copying it, so the caller must not modify events afterwards; a
+// buffer that already holds events keeps them and appends the new ones.
+func (b *Buffer) Append(events []Event) {
+	if len(b.events) == 0 {
+		b.events = events
+		return
+	}
+	b.events = append(b.events, events...)
 }
 
 // Events returns the recorded stream. The slice is owned by the buffer.
@@ -265,40 +242,17 @@ func Canonicalize(events []Event) {
 	sort.Slice(events, func(i, j int) bool { return less(&events[i], &events[j]) })
 }
 
-// Replay feeds events (in their current order) into r. KindStall events are
-// derived, not part of the engine stream, and are skipped.
-func Replay(events []Event, r Recorder) {
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case KindCompute:
-			r.RecordCompute(e.Step, e.Proc, e.Col, e.GStep)
-		case KindInject:
-			r.RecordInject(e.Step, e.Proc, e.Link, e.Dir, e.Route, e.Col, e.GStep)
-		case KindDeliver:
-			r.RecordDeliver(e.Step, e.Proc, e.Route, e.Col, e.GStep)
-		case KindFault:
-			if fr, ok := r.(FaultRecorder); ok {
-				fr.RecordFault(e.Step, e.Fault, e.Proc, e.Link, e.Dur)
-			}
-		case KindAdapt:
-			if ar, ok := r.(AdaptRecorder); ok {
-				ar.RecordAdapt(e.Step, e.Proc, e.Col)
-			}
-		}
-	}
-}
-
 // RunInfo carries the static facts the instruments need alongside the event
 // stream. sim.Config.ObsInfo builds it.
 type RunInfo struct {
 	HostN      int
 	HostSteps  int64
 	GuestSteps int
-	// Delays[i] is the delay of line link (i, i+1); LinkBW[i] its per-step
-	// injection bandwidth (resolved, both directions).
+	// Delays[i] is the delay of line link (i, i+1).
 	Delays []int
-	LinkBW []int
+	// Bandwidth is the per-step injection bandwidth of every directed link
+	// (resolved: the paper's cost model gives all links the same B).
+	Bandwidth int
 	// ProcPebbles[p] is the total pebbles assigned to position p
 	// (owned columns x guest steps).
 	ProcPebbles []int64

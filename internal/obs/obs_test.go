@@ -213,18 +213,32 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 }
 
-// Replaying a canonical stream into a fresh buffer reproduces it exactly.
-func TestReplayRoundTrip(t *testing.T) {
-	events, _, _ := recordedRun(t, 6, 10, 6, 2, 1)
-	buf := obs.NewBuffer()
-	obs.Replay(events, buf)
-	got := buf.Events()
-	if len(got) != len(events) {
-		t.Fatalf("replayed %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d differs after replay: %+v vs %+v", i, got[i], events[i])
+// A buffer reused across runs accumulates: the second run's canonical
+// stream follows the first's, and the first is left untouched. Both the
+// sequential engine (whose lone chunk buffer the recorder adopts) and the
+// parallel engine (whose chunk buffers are merged) are covered.
+func TestBufferAccumulatesRuns(t *testing.T) {
+	for _, workers := range []int{0, 3} {
+		cfg, buf := recordedConfig(6, 12, 6, 2, 1)
+		cfg.Workers = workers
+		if _, err := sim.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		first := append([]obs.Event(nil), buf.Events()...)
+		if len(first) == 0 {
+			t.Fatal("run recorded no events")
+		}
+		if _, err := sim.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		got := buf.Events()
+		if len(got) != 2*len(first) {
+			t.Fatalf("workers=%d: %d events after two runs, want %d", workers, len(got), 2*len(first))
+		}
+		for i, e := range first {
+			if got[i] != e || got[len(first)+i] != e {
+				t.Fatalf("workers=%d: event %d differs across the two runs", workers, i)
+			}
 		}
 	}
 }
@@ -256,7 +270,7 @@ func TestSummaryJSON(t *testing.T) {
 
 // Degenerate inputs: an empty stream must not panic anywhere.
 func TestEmptyStream(t *testing.T) {
-	info := obs.RunInfo{HostN: 4, Delays: []int{1, 1, 1}, LinkBW: []int{1, 1, 1},
+	info := obs.RunInfo{HostN: 4, Delays: []int{1, 1, 1}, Bandwidth: 1,
 		ProcPebbles: make([]int64, 4), Neighbors: func(int) []int { return nil }}
 	a := obs.Analyze(nil, info)
 	if sb := a.Stalls(); sb.Busy != 0 || sb.Stalled() != 0 {

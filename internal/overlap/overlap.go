@@ -74,15 +74,13 @@ type Options struct {
 	Steps int
 	// Seed drives all guest state.
 	Seed int64
-	// Bandwidth, ComputePerStep, Workers, Check, MaxSteps, TraceWindow and
-	// Recorder pass through to the engine.
-	Bandwidth      int
-	ComputePerStep int
-	Workers        int
-	Check          bool
-	MaxSteps       int64
-	TraceWindow    int
-	Recorder       obs.Recorder
+	// Bandwidth, Workers, Check, TraceWindow and Recorder pass through to
+	// the engine.
+	Bandwidth   int
+	Workers     int
+	Check       bool
+	TraceWindow int
+	Recorder    *obs.Buffer
 	// Faults passes a deterministic fault plan through to the engine
 	// (internal/fault); nil is a true no-op.
 	Faults *fault.Plan
@@ -276,17 +274,15 @@ func SimulateLine(delays []int, opt Options) (*Outcome, error) {
 			Op:          opt.Op,
 			Init:        opt.Init,
 		},
-		Assign:         a,
-		Bandwidth:      opt.Bandwidth,
-		ComputePerStep: opt.ComputePerStep,
-		Workers:        opt.Workers,
-		Check:          opt.Check,
-		MaxSteps:       opt.MaxSteps,
-		TraceWindow:    opt.TraceWindow,
-		Recorder:       opt.Recorder,
-		Faults:         opt.Faults,
-		Adapt:          opt.Adapt,
-		Telemetry:      opt.Telemetry,
+		Assign:      a,
+		Bandwidth:   opt.Bandwidth,
+		Workers:     opt.Workers,
+		Check:       opt.Check,
+		TraceWindow: opt.TraceWindow,
+		Recorder:    opt.Recorder,
+		Faults:      opt.Faults,
+		Adapt:       opt.Adapt,
+		Telemetry:   opt.Telemetry,
 	}
 	res, err := sim.Run(cfg)
 	if err != nil {

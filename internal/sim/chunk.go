@@ -271,8 +271,8 @@ type chunk struct {
 	retireOverride func(c *chunk, p *proc, idx, t int32)
 
 	// event buffer (Config.Recorder != nil); chunks never share a buffer,
-	// so the parallel engine records race-free. collect() merges and
-	// replays the canonical stream into the configured Recorder.
+	// so the parallel engine records race-free. collect() merges the
+	// chunk buffers and appends the canonical stream to Config.Recorder.
 	buf *obs.Buffer
 
 	// telemetry (Config.Telemetry != nil): one shard per chunk plus the
@@ -414,12 +414,13 @@ func newChunk(cfg *Config, rt *routeTable, lo, hi int) *chunk {
 		}
 		return l
 	}
+	bw := cfg.bandwidth()
 	for pos := lo; pos < hi; pos++ {
 		if pos < n-1 {
-			c.right[pos-lo] = presize(&dlink{delay: cfg.Delays[pos], bw: cfg.linkBandwidth(pos)}, rt.crossAt(rt.crossR, pos))
+			c.right[pos-lo] = presize(&dlink{delay: cfg.Delays[pos], bw: bw}, rt.crossAt(rt.crossR, pos))
 		}
 		if pos > 0 {
-			c.left[pos-lo] = presize(&dlink{delay: cfg.Delays[pos-1], bw: cfg.linkBandwidth(pos - 1)}, rt.crossAt(rt.crossL, pos-1))
+			c.left[pos-lo] = presize(&dlink{delay: cfg.Delays[pos-1], bw: bw}, rt.crossAt(rt.crossL, pos-1))
 		}
 	}
 	// Boundary outboxes (parallel engine): size for a few steps' worth of

@@ -242,7 +242,7 @@ func TestFaultEventsInStreamAndAttribution(t *testing.T) {
 // Step-cap aborts carry the dataflow frontier from both engines.
 func TestStepCapForensics(t *testing.T) {
 	cfg := randomNOWConfig(t, 3, 16)
-	cfg.MaxSteps = 3 // far too small to finish
+	cfg.maxSteps = 3 // far too small to finish
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "pebbles remaining") {
 		t.Fatalf("seq cap error lacks frontier: %v", err)

@@ -441,13 +441,6 @@ func (w *worker) epochBarrier() bool {
 	}
 }
 
-// splitPositions splits [0, n) into w contiguous chunks assuming uniform
-// per-host work, nudging each cut onto the largest-delay link within a
-// window around the even split (larger boundary delay = larger lookahead).
-func splitPositions(delays []int, w int) []int {
-	return splitPositionsWork(delays, nil, w)
-}
-
 // splitPositionsWork splits [0, n) into w contiguous chunks at the work
 // quantiles of the per-host work estimates (nil work = uniform), then nudges
 // each cut onto the largest-delay link within a window around its quantile
@@ -617,65 +610,59 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		workers[i+1].left = l
 	}
 
-	// Watchdog: if no pebble completes for WatchdogIdle of wall time the
-	// run is wedged (a correct run is compute-bound and never idles that
-	// long; genuine dataflow deadlocks usually hit the step cap first, the
-	// watchdog is the backstop for anything else).
-	var watchStop chan struct{}
-	if idle := cfg.WatchdogIdle; idle >= 0 {
-		if idle == 0 {
-			idle = 6 * time.Second // historical default: 3 strikes of 2s
-		}
-		period := idle / 3
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		// The watchdog gets its own shard: its ticks are wall-clock events
-		// that belong to no chunk.
-		var wdTel *telemetry.Shard
-		if cfg.em != nil {
-			wdTel = cfg.Telemetry.NewShard("watchdog")
-		}
-		watchStop = make(chan struct{})
-		go func() {
-			last := atomic.LoadInt64(&global)
-			strikes := 0
-			ticker := time.NewTicker(period)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-watchStop:
+	// Watchdog: if no pebble completes for 6 s of wall time (three strikes
+	// of 2 s) the run is wedged (a correct run is compute-bound and never
+	// idles that long; genuine dataflow deadlocks usually hit the step cap
+	// first, the watchdog is the backstop for anything else).
+	idle := 6 * time.Second
+	if cfg.watchdogIdle > 0 {
+		idle = cfg.watchdogIdle
+	}
+	// The watchdog gets its own shard: its ticks are wall-clock events that
+	// belong to no chunk.
+	var wdTel *telemetry.Shard
+	if cfg.em != nil {
+		wdTel = cfg.Telemetry.NewShard("watchdog")
+	}
+	watchStop := make(chan struct{})
+	go func() {
+		last := atomic.LoadInt64(&global)
+		strikes := 0
+		ticker := time.NewTicker(idle / 3)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-watchStop:
+				return
+			case <-ticker.C:
+				if cfg.em != nil {
+					wdTel.Inc(cfg.em.watchdogTicks)
+				}
+				cur := atomic.LoadInt64(&global)
+				if cur == 0 {
 					return
-				case <-ticker.C:
-					if cfg.em != nil {
-						wdTel.Inc(cfg.em.watchdogTicks)
-					}
-					cur := atomic.LoadInt64(&global)
-					if cur == 0 {
+				}
+				if cur == last {
+					strikes++
+					if strikes >= 3 {
+						errMu.Lock()
+						if firstErr == nil {
+							firstErr = fmt.Errorf("sim: parallel engine made no progress with %d pebbles remaining (deadlock)", cur)
+						}
+						errMu.Unlock()
+						doneOnce.Do(func() { close(done) })
 						return
 					}
-					if cur == last {
-						strikes++
-						if strikes >= 3 {
-							errMu.Lock()
-							if firstErr == nil {
-								firstErr = fmt.Errorf("sim: parallel engine made no progress with %d pebbles remaining (deadlock)", cur)
-							}
-							errMu.Unlock()
-							doneOnce.Do(func() { close(done) })
-							return
-						}
-					} else {
-						strikes = 0
-						last = cur
-					}
+				} else {
+					strikes = 0
+					last = cur
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	var wg sync.WaitGroup
-	maxSteps := cfg.maxSteps()
+	maxSteps := cfg.stepCap()
 	for i, wk := range workers {
 		wg.Add(1)
 		labels := pprof.Labels("engine", "parallel",
@@ -688,9 +675,7 @@ func runParallelWithCuts(cfg *Config, rt *routeTable, cuts []int) (*Result, erro
 		}(wk)
 	}
 	wg.Wait()
-	if watchStop != nil {
-		close(watchStop)
-	}
+	close(watchStop)
 
 	errMu.Lock()
 	err := firstErr

@@ -12,6 +12,13 @@ import (
 	"latencyhide/internal/guest"
 )
 
+// splitPositions splits [0, n) into w contiguous chunks assuming uniform
+// per-host work, nudging each cut onto the largest-delay link within a
+// window around the even split (larger boundary delay = larger lookahead).
+func splitPositions(delays []int, w int) []int {
+	return splitPositionsWork(delays, nil, w)
+}
+
 // checkCuts asserts the structural invariants every cut vector must satisfy:
 // cuts[0] = 0 < cuts[1] < ... < cuts[w] = n.
 func checkCuts(t *testing.T, cuts []int, n, w int) {
@@ -139,8 +146,8 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 		Delays:       []int{1},
 		Guest:        guest.Spec{Graph: guest.NewLinearArray(2), Steps: 2, Seed: 1},
 		Assign:       a,
-		MaxSteps:     1 << 40, // the clocks spin upward; make sure the cap cannot fire first
-		WatchdogIdle: 100 * time.Millisecond,
+		maxSteps:     1 << 40, // the clocks spin upward; make sure the cap cannot fire first
+		watchdogIdle: 100 * time.Millisecond,
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

@@ -446,7 +446,7 @@ func FuzzRouteCompact(f *testing.F) {
 			c.deliverTap = func(pos int, col, step int32, value uint64) {
 				out = append(out, deliv{pos, col, step, value})
 			}
-			maxSteps := cfg.maxSteps()
+			maxSteps := cfg.stepCap()
 			for c.remaining > 0 {
 				if c.now > maxSteps {
 					t.Fatal("step cap exceeded")

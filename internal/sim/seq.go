@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"latencyhide/internal/guest"
 	"latencyhide/internal/obs"
@@ -19,7 +20,7 @@ import (
 // at the same points, which is what keeps adaptive runs bit-identical.
 func runSequential(cfg *Config, rt *routeTable) (*Result, error) {
 	c := newChunk(cfg, rt, 0, cfg.hostN())
-	maxSteps := cfg.maxSteps()
+	maxSteps := cfg.stepCap()
 	ast := cfg.ast
 	var nextB int64
 	if ast != nil {
@@ -168,26 +169,35 @@ func collect(cfg *Config, chunks []*chunk) (*Result, error) {
 		res.Checked = true
 	}
 	if cfg.Recorder != nil {
-		// Merge the per-chunk buffers and replay in canonical order: the
-		// engines produce identical per-step event multisets, so sorting
-		// hands any Recorder a stream that is bit-identical across engines
-		// and worker counts.
-		var events []obs.Event
-		for _, c := range chunks {
-			if c.buf != nil {
-				events = append(events, c.buf.Events()...)
-			}
-		}
-		if cfg.Faults != nil {
-			events = append(events, faultEvents(cfg, res.HostSteps)...)
-		}
-		if cfg.ast != nil {
-			events = append(events, cfg.ast.adaptEvents()...)
-		}
-		obs.Canonicalize(events)
-		obs.Replay(events, cfg.Recorder)
+		cfg.Recorder.Append(mergeEvents(cfg, chunks, res.HostSteps))
 	}
 	return res, nil
+}
+
+// mergeEvents gathers the per-chunk buffers and the synthesised fault and
+// adaptation events into one exactly sized slice and sorts it into
+// canonical order: the engines produce identical per-step event multisets,
+// so the result is bit-identical across engines and worker counts. A lone
+// chunk buffer is sorted in place rather than copied.
+func mergeEvents(cfg *Config, chunks []*chunk, hostSteps int64) []obs.Event {
+	parts := make([][]obs.Event, 0, len(chunks)+2)
+	for _, c := range chunks {
+		parts = append(parts, c.buf.Events())
+	}
+	if cfg.Faults != nil {
+		if fe := faultEvents(cfg, hostSteps); len(fe) > 0 {
+			parts = append(parts, fe)
+		}
+	}
+	if cfg.ast != nil && len(cfg.ast.decisions) > 0 {
+		parts = append(parts, cfg.ast.adaptEvents())
+	}
+	events := parts[0]
+	if len(parts) > 1 {
+		events = slices.Concat(parts...)
+	}
+	obs.Canonicalize(events)
+	return events
 }
 
 // verify recomputes the guest sequentially and compares every replica's

@@ -49,19 +49,12 @@ type Config struct {
 	// len(Delays)+1 and Assign.Columns must equal the guest node count.
 	Assign *assign.Assignment
 	// Bandwidth is the number of pebbles each directed link can inject per
-	// step. Zero means the paper's high-bandwidth assumption,
-	// max(1, ceil(log2 hostN)).
+	// step; every link has the same B, as in the paper. Zero means the
+	// paper's high-bandwidth assumption, max(1, ceil(log2 hostN)).
 	Bandwidth int
-	// LinkBandwidth optionally overrides Bandwidth per link: entry i
-	// applies to both directions of link (i, i+1); zero entries fall back
-	// to Bandwidth. Must be empty or len(Delays) long.
-	LinkBandwidth []int
 	// ComputePerStep is how many pebbles one workstation computes per
 	// step; zero means 1 (the paper's model).
 	ComputePerStep int
-	// MaxSteps aborts runs that exceed it (a stall safety net); zero
-	// picks a generous default derived from the work and delay volume.
-	MaxSteps int64
 	// Workers > 1 selects the parallel engine with that many chunks.
 	Workers int
 	// Check verifies every database replica's final digest against the
@@ -71,10 +64,11 @@ type Config struct {
 	// and link crossings per window of that many host steps.
 	TraceWindow int
 	// Recorder, when non-nil, receives the run's structured event stream
-	// (package obs). Both engines buffer events per chunk and replay the
-	// merged stream in canonical order after the run, so the same Recorder
-	// sees a bit-identical stream from either engine. Nil costs nothing.
-	Recorder obs.Recorder
+	// (package obs). Both engines buffer events per chunk and append the
+	// merged stream in canonical order after the run, so the buffer holds a
+	// bit-identical stream from either engine; a reused buffer accumulates
+	// runs. Nil costs nothing.
+	Recorder *obs.Buffer
 	// Faults, when non-nil, injects the plan's deterministic faults (link
 	// jitter, link outages, host slowdowns, crash-stop hosts — see
 	// internal/fault and faults.go). Crash-stop hosts are excluded from
@@ -88,12 +82,6 @@ type Config struct {
 	// a column past the policy threshold. Fully deterministic: adaptive runs
 	// stay bit-identical across engines and worker counts (see adapt.go).
 	Adapt *adapt.Policy
-	// WatchdogIdle is how long the parallel engine tolerates zero global
-	// progress before declaring the dataflow deadlocked. Zero keeps the
-	// historical default (6s); negative disables the watchdog entirely
-	// (useful under -race on slow shared runners, where a correct run can
-	// wall-clock stall long enough to trip a fixed timeout).
-	WatchdogIdle time.Duration
 	// Telemetry, when non-nil, receives the engine's runtime metrics: Run
 	// registers the engine schema on it and both engines cut one shard per
 	// chunk (plus one for the parallel watchdog). Hot-path accumulation is
@@ -110,6 +98,11 @@ type Config struct {
 	// retireOverride (tests only) is copied onto every chunk; see
 	// chunk.retireOverride.
 	retireOverride func(c *chunk, p *proc, idx, t int32)
+	// maxSteps (tests only) replaces the derived step cap when positive.
+	maxSteps int64
+	// watchdogIdle (tests only) replaces the parallel engine's 6 s
+	// no-progress window when positive.
+	watchdogIdle time.Duration
 }
 
 func (c *Config) hostN() int { return len(c.Delays) + 1 }
@@ -125,14 +118,6 @@ func (c *Config) bandwidth() int {
 	return b
 }
 
-// linkBandwidth resolves the effective bandwidth of link (i, i+1).
-func (c *Config) linkBandwidth(i int) int {
-	if i < len(c.LinkBandwidth) && c.LinkBandwidth[i] > 0 {
-		return c.LinkBandwidth[i]
-	}
-	return c.bandwidth()
-}
-
 func (c *Config) computePerStep() int {
 	if c.ComputePerStep > 0 {
 		return c.ComputePerStep
@@ -140,9 +125,11 @@ func (c *Config) computePerStep() int {
 	return 1
 }
 
-func (c *Config) maxSteps() int64 {
-	if c.MaxSteps > 0 {
-		return c.MaxSteps
+// stepCap is the step count past which a run aborts (a stall safety net):
+// a generous bound derived from the work and delay volume.
+func (c *Config) stepCap() int64 {
+	if c.maxSteps > 0 {
+		return c.maxSteps
 	}
 	var total int64
 	dmax := 0
@@ -177,15 +164,6 @@ func (c *Config) Validate() error {
 	for i, d := range c.Delays {
 		if d < 1 {
 			return fmt.Errorf("sim: link %d has delay %d < 1", i, d)
-		}
-	}
-	if len(c.LinkBandwidth) != 0 && len(c.LinkBandwidth) != len(c.Delays) {
-		return fmt.Errorf("sim: LinkBandwidth has %d entries for %d links",
-			len(c.LinkBandwidth), len(c.Delays))
-	}
-	for i, b := range c.LinkBandwidth {
-		if b < 0 {
-			return fmt.Errorf("sim: link %d has bandwidth %d < 0", i, b)
 		}
 	}
 	if err := c.Assign.Validate(); err != nil {
@@ -262,15 +240,12 @@ func (c *Config) ObsInfo(res *Result) obs.RunInfo {
 		HostN:       n,
 		GuestSteps:  c.Guest.Steps,
 		Delays:      append([]int(nil), c.Delays...),
-		LinkBW:      make([]int, len(c.Delays)),
+		Bandwidth:   c.bandwidth(),
 		ProcPebbles: make([]int64, n),
 		Neighbors:   c.Guest.Graph.Neighbors,
 	}
 	if res != nil {
 		info.HostSteps = res.HostSteps
-	}
-	for i := range c.Delays {
-		info.LinkBW[i] = c.linkBandwidth(i)
 	}
 	for p := 0; p < n; p++ {
 		info.ProcPebbles[p] = int64(len(c.Assign.Owned[p])) * int64(c.Guest.Steps)

@@ -28,50 +28,48 @@ const (
 	goldenLargeHash  = 0xf4323353e4042a0f
 )
 
-// hashRecorder folds the canonical obs stream into an FNV-64a hash as it is
-// replayed, so large runs need no second event buffer.
-type hashRecorder struct {
+// streamHash folds canonical obs streams and run aggregates into an FNV-64a
+// hash. Each event kind writes a tag (1 compute, 2 inject, 3 deliver,
+// 4 fault, 5 adapt) followed by its fields.
+type streamHash struct {
 	h   hash.Hash64
 	buf [8]byte
 	n   int64
 }
 
-func newHashRecorder() *hashRecorder { return &hashRecorder{h: fnv.New64a()} }
+func newStreamHash() *streamHash { return &streamHash{h: fnv.New64a()} }
 
-func (r *hashRecorder) word(vs ...int64) {
+func (r *streamHash) word(vs ...int64) {
 	for _, v := range vs {
 		binary.LittleEndian.PutUint64(r.buf[:], uint64(v))
 		r.h.Write(r.buf[:])
 	}
 }
 
-func (r *hashRecorder) RecordCompute(step int64, proc, col, gstep int32) {
-	r.n++
-	r.word(1, step, int64(proc), int64(col), int64(gstep))
-}
-
-func (r *hashRecorder) RecordInject(step int64, proc, link int32, dir int8, route, col, gstep int32) {
-	r.n++
-	r.word(2, step, int64(proc), int64(link), int64(dir), int64(route), int64(col), int64(gstep))
-}
-
-func (r *hashRecorder) RecordDeliver(step int64, proc, route, col, gstep int32) {
-	r.n++
-	r.word(3, step, int64(proc), int64(route), int64(col), int64(gstep))
-}
-
-func (r *hashRecorder) RecordFault(step int64, kind obs.FaultKind, proc, link int32, dur int64) {
-	r.n++
-	r.word(4, step, int64(kind), int64(proc), int64(link), dur)
-}
-
-func (r *hashRecorder) RecordAdapt(step int64, proc, col int32) {
-	r.n++
-	r.word(5, step, int64(proc), int64(col))
+// events folds one run's canonical stream into the hash.
+func (r *streamHash) events(evs []obs.Event) {
+	for i := range evs {
+		e := &evs[i]
+		r.n++
+		switch e.Kind {
+		case obs.KindCompute:
+			r.word(1, e.Step, int64(e.Proc), int64(e.Col), int64(e.GStep))
+		case obs.KindInject:
+			r.word(2, e.Step, int64(e.Proc), int64(e.Link), int64(e.Dir), int64(e.Route), int64(e.Col), int64(e.GStep))
+		case obs.KindDeliver:
+			r.word(3, e.Step, int64(e.Proc), int64(e.Route), int64(e.Col), int64(e.GStep))
+		case obs.KindFault:
+			r.word(4, e.Step, int64(e.Fault), int64(e.Proc), int64(e.Link), e.Dur)
+		case obs.KindAdapt:
+			r.word(5, e.Step, int64(e.Proc), int64(e.Col))
+		default:
+			panic("unexpected event kind " + e.Kind.String())
+		}
+	}
 }
 
 // result folds a run's aggregates into the hash.
-func (r *hashRecorder) result(res *sim.Result) {
+func (r *streamHash) result(res *sim.Result) {
 	r.word(res.HostSteps, res.PebblesComputed, res.GuestWork, res.Messages,
 		res.MessageHops, res.DeliveredValues, int64(res.MaxQueueDepth),
 		int64(res.Load), int64(res.Bandwidth), int64(res.AdaptActivations),
@@ -82,19 +80,21 @@ func (r *hashRecorder) result(res *sim.Result) {
 // aggregates over the first goldenCorpusN scenarios of seed 1's stream, which
 // spans every fault regime, adaptive replication and crash-stop plans.
 func TestGoldenCorpusStream(t *testing.T) {
-	rec := newHashRecorder()
+	rec := newStreamHash()
 	for i := 0; i < goldenCorpusN; i++ {
 		sc := Generate(1, i)
 		cfg, err := sc.Build()
 		if err != nil {
 			t.Fatalf("scenario %d (%s): %v", i, sc, err)
 		}
+		buf := obs.NewBuffer()
 		cfg.Check = true
-		cfg.Recorder = rec
+		cfg.Recorder = buf
 		res, err := sim.Run(*cfg)
 		if err != nil {
 			t.Fatalf("scenario %d (%s): %v", i, sc, err)
 		}
+		rec.events(buf.Events())
 		rec.result(res)
 	}
 	if got := rec.h.Sum64(); got != goldenCorpusHash {
@@ -117,17 +117,19 @@ func TestGoldenLargeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := newHashRecorder()
+	buf := obs.NewBuffer()
 	res, err := sim.Run(sim.Config{
 		Delays:   line.Delays,
 		Guest:    guest.Spec{Graph: guest.NewLinearArray(a.Columns), Steps: steps, Seed: seed},
 		Assign:   a,
 		Check:    true,
-		Recorder: rec,
+		Recorder: buf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := newStreamHash()
+	rec.events(buf.Events())
 	rec.result(res)
 	if got := rec.h.Sum64(); got != goldenLargeHash {
 		t.Fatalf("large stream hash %#x, want %#x (%d events, %d pebbles)",

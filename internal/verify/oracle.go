@@ -358,13 +358,10 @@ func CheckRun(cfg *sim.Config, res *sim.Result, events []obs.Event) []Violation 
 		}
 	}
 
-	// Bandwidth: each directed link injects at most its per-step bandwidth,
-	// and nothing while an outage holds the link down.
+	// Bandwidth: each directed link injects at most B per step, and nothing
+	// while an outage holds the link down.
+	bw := max(info.Bandwidth, 1)
 	for sk, n := range slots {
-		bw := 1
-		if int(sk.link) < len(info.LinkBW) && info.LinkBW[sk.link] > 0 {
-			bw = info.LinkBW[sk.link]
-		}
 		if n > bw {
 			c.addf("bandwidth", "link %d dir %+d injected %d > B=%d at step %d", sk.link, sk.dir, n, bw, sk.step)
 		}
