@@ -1,12 +1,12 @@
 // Command latencysim is the CLI for the latencyhide library: it inspects
-// host topologies, runs single OVERLAP simulations, sweeps parameters and
-// regenerates the paper experiments.
+// host topologies, runs and observes single OVERLAP simulations, sweeps
+// parameters and regenerates the paper experiments.
 //
 // Usage:
 //
 //	latencysim topo   -host mesh -n 256 [-delay exp -mean 3] [-tree] [-o host.json]
-//	latencysim run    -host random -n 256 -variant twolevel -steps 64 -check [-trace] [-trace-out t.json] [-profile cpu.pprof]
-//	latencysim trace  -host random -n 256 -out trace.json [-summary s.json] [-csv links.csv] [-heatmap]
+//	latencysim run    -host random -n 256 -variant twolevel -steps 64 -check [-trace] [-profile cpu.pprof]
+//	                  [-links 8] [-heatmap] [-trace-out t.json] [-summary s.json] [-csv links.csv]
 //	latencysim sweep  -host line -from 128 -to 2048 -csv
 //	latencysim guest  -guest butterfly -gn 5 -host random -layout auto
 //	latencysim plan   -host @host.json
@@ -37,6 +37,7 @@ import (
 	"latencyhide/internal/network"
 	"latencyhide/internal/obs"
 	"latencyhide/internal/overlap"
+	"latencyhide/internal/sim"
 	"latencyhide/internal/telemetry"
 	"latencyhide/internal/tree"
 )
@@ -52,8 +53,6 @@ func main() {
 		err = cmdTopo(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
 	case "exp", "experiments":
@@ -88,8 +87,9 @@ func usage() {
 
 commands:
   topo    describe a host topology and its dilation-3 line embedding
-  run     run one OVERLAP simulation and print measurements
-  trace   run with full observability: stall causes, critical path, link gauges, Chrome trace
+  run     run one OVERLAP simulation and print measurements; -links N, -heatmap,
+          -trace-out, -summary and -csv add stall causes, critical path, link
+          gauges and a Chrome trace
   sweep   sweep host size and print a slowdown table (or CSV)
   guest   simulate a tree/hypercube/butterfly/array guest via a 1-D layout
   plan    analyse a host and recommend OVERLAP parameters
@@ -237,16 +237,13 @@ func cmdTopo(args []string) error {
 // adaptive policy that can never fire (mode=fault gates activation on
 // injected-fault forensics, so it needs a fault plan to read). It returns
 // the parsed fault plan and adapt policy (nil when the specs are empty).
-func validateRunFlags(workers int, outPath, faultsSpec, adaptSpec string) (*fault.Plan, *adapt.Policy, error) {
+func validateRunFlags(workers int, faultsSpec, adaptSpec string, outPaths ...string) (*fault.Plan, *adapt.Policy, error) {
 	if workers < 0 {
 		return nil, nil, fmt.Errorf("-workers must be >= 0, got %d", workers)
 	}
-	if outPath != "" {
-		dir := filepath.Dir(outPath)
-		if fi, err := os.Stat(dir); err != nil {
-			return nil, nil, fmt.Errorf("output directory %q does not exist", dir)
-		} else if !fi.IsDir() {
-			return nil, nil, fmt.Errorf("output path parent %q is not a directory", dir)
+	for _, p := range outPaths {
+		if err := checkOutPath(p); err != nil {
+			return nil, nil, err
 		}
 	}
 	var plan *fault.Plan
@@ -269,6 +266,22 @@ func validateRunFlags(workers int, outPath, faultsSpec, adaptSpec string) (*faul
 		}
 	}
 	return plan, pol, nil
+}
+
+// checkOutPath rejects an output file whose parent directory is missing or
+// is not a directory, so a bad path fails before the run rather than after
+// it. An empty path (output not requested) passes.
+func checkOutPath(path string) error {
+	if path == "" {
+		return nil
+	}
+	dir := filepath.Dir(path)
+	if fi, err := os.Stat(dir); err != nil {
+		return fmt.Errorf("output directory %q does not exist", dir)
+	} else if !fi.IsDir() {
+		return fmt.Errorf("output path parent %q is not a directory", dir)
+	}
+	return nil
 }
 
 func parseVariant(s string) (overlap.Variant, error) {
@@ -296,17 +309,27 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("guestseed", 7, "guest computation seed")
 	trace := fs.Bool("trace", false, "print a utilization timeline")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file")
+	summary := fs.String("summary", "", "write the JSON run summary to this file")
+	csvPath := fs.String("csv", "", "write every directed link's gauges as CSV to this file")
+	heatmap := fs.Bool("heatmap", false, "print the per-workstation compute heatmap")
+	links := fs.Int("links", 0, "print the stall-cause, critical-path and busiest-N-link tables (0 = off)")
 	profile := fs.String("profile", "", "write a CPU pprof profile of the run to this file")
 	faults := fs.String("faults", "", "deterministic fault plan, e.g. '7:outage=0.1x8;crash=3@40' (see DESIGN.md)")
 	adaptSpec := fs.String("adapt", "", "adaptive replication policy, e.g. 'epoch=64,thresh=0.35,extra=1,budget=16,mode=fault' (see DESIGN.md)")
 	manifestOut, liveFlag := manifestFlags(fs)
 	fs.Parse(args)
 
-	plan, pol, err := validateRunFlags(*workers, *traceOut, *faults, *adaptSpec)
+	if *links < 0 {
+		return fmt.Errorf("-links must be >= 0, got %d", *links)
+	}
+	plan, pol, err := validateRunFlags(*workers, *faults, *adaptSpec, *traceOut, *summary, *csvPath)
 	if err != nil {
 		return err
 	}
-	mr := startMRun("run", args, *manifestOut, *liveFlag)
+	mr, err := startMRun("run", args, *manifestOut, *liveFlag)
+	if err != nil {
+		return err
+	}
 	if mr.active() {
 		// A manifest promises boundary telemetry (ring occupancy, published
 		// clock lag), which only the parallel engine produces; default to two
@@ -341,8 +364,9 @@ func cmdRun(args []string) error {
 		opts.TraceWindow = 8
 	}
 	var rec *obs.Buffer
-	if *traceOut != "" || mr.active() {
-		// The manifest's stall tiling needs the event stream too.
+	if *traceOut != "" || *summary != "" || *csvPath != "" || *heatmap || *links > 0 || mr.active() {
+		// Every observation, the manifest's stall tiling included, reads
+		// one analysis of this one recorded stream.
 		rec = obs.NewBuffer()
 		opts.Recorder = rec
 	}
@@ -382,11 +406,9 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("run: guest_steps=%d host_steps=%d slowdown=%.2f (bound ~ %.0f)\n",
 		out.Sim.GuestSteps, out.Sim.HostSteps, out.Sim.Slowdown, out.PredictedSlowdown)
-	if line, err2 := embedding.Embed(g, 0); err2 == nil {
-		if sched, err2 := overlap.BuildSchedule(tree.Build(line.Delays, 4), 1); err2 == nil {
-			fmt.Printf("schedule: Theorem 1 timetable bounds one round of %d steps by %d host steps (slowdown %.0f)\n",
-				sched.RoundSteps(), sched.RoundBound(), sched.SlowdownBound())
-		}
+	if sched, err := overlap.BuildSchedule(out.Tree, 1); err == nil {
+		fmt.Printf("schedule: Theorem 1 timetable bounds one round of %d steps by %d host steps (slowdown %.0f)\n",
+			sched.RoundSteps(), sched.RoundBound(), sched.SlowdownBound())
 	}
 	fmt.Printf("work: pebbles=%d redundancy=%.2f efficiency=%.2f msgs=%d hops=%d\n",
 		out.Sim.PebblesComputed, out.Sim.Redundancy, out.Efficiency(), out.Sim.Messages, out.Sim.MessageHops)
@@ -403,12 +425,32 @@ func cmdRun(args []string) error {
 	}
 	if rec != nil {
 		a := obs.Analyze(rec.Events(), *out.ObsInfo)
+		if *links > 0 {
+			printObservation(a, *links)
+		}
+		if *heatmap {
+			window := max(int(out.Sim.HostSteps/60), 1)
+			fmt.Printf("\ncompute heatmap (window = %d host steps):\n", window)
+			fmt.Print(obs.HeatmapString(a.Heatmap(window), 32))
+		}
 		if *traceOut != "" {
 			if err := obs.WriteChromeTraceFile(*traceOut, rec.Events(), a.StallSpans(), *out.ObsInfo); err != nil {
 				return err
 			}
 			fmt.Printf("trace-out: wrote %s (%d events; open in chrome://tracing or Perfetto)\n",
 				*traceOut, rec.Len())
+		}
+		if *summary != "" {
+			if err := writeSummary(*summary, a.Summarize()); err != nil {
+				return err
+			}
+			fmt.Printf("summary: wrote %s\n", *summary)
+		}
+		if *csvPath != "" {
+			if err := obs.LinkTable(a.LinkGauges()).CSVFile(*csvPath); err != nil {
+				return err
+			}
+			fmt.Printf("csv: wrote %s\n", *csvPath)
 		}
 		if mr != nil {
 			s := a.Stalls()
@@ -433,6 +475,36 @@ func cmdRun(args []string) error {
 	return mr.finish()
 }
 
+// printObservation prints where the run's host steps went: the stall-cause
+// tiling, the critical-path decomposition and the n busiest directed links.
+func printObservation(a *obs.Analysis, n int) {
+	fmt.Println()
+	obs.StallTable(a.Stalls()).Fprint(os.Stdout)
+	fmt.Println()
+	obs.CritPathTable(a.CriticalPath()).Fprint(os.Stdout)
+	fmt.Println()
+	gauges := a.LinkGauges()
+	busiest := append([]obs.LinkGauge(nil), gauges...)
+	sort.Slice(busiest, func(i, j int) bool { return busiest[i].Injects > busiest[j].Injects })
+	busiest = busiest[:min(n, len(busiest))]
+	lt := obs.LinkTable(busiest)
+	lt.Title = fmt.Sprintf("busiest %d of %d directed links", len(busiest), len(gauges))
+	lt.Fprint(os.Stdout)
+}
+
+// writeSummary writes the JSON run summary to path.
+func writeSummary(path string, s *obs.Summary) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // coarsen sums groups of k adjacent counters.
 func coarsen(xs []int64, k int) []int64 {
 	if k <= 1 {
@@ -455,20 +527,10 @@ func printTrace(out *overlap.Outcome) error {
 	if tr == nil {
 		return fmt.Errorf("run collected no trace")
 	}
-	k := (len(tr.Computes) + 59) / 60
-	if k < 1 {
-		k = 1
-	}
-	computes := coarsen(tr.Computes, k)
-	bucket := k * tr.Window
-	util := make([]float64, len(computes))
-	if den := float64(out.LiveProcs * bucket); den > 0 {
-		for i, c := range computes {
-			util[i] = float64(c) / den
-		}
-	}
-	fmt.Printf("trace (window = %d host steps):\n", bucket)
-	fmt.Printf("  compute utilization  %s\n", spark(util))
+	k := max((len(tr.Computes)+59)/60, 1)
+	coarse := &sim.Trace{Window: k * tr.Window, Computes: coarsen(tr.Computes, k)}
+	fmt.Printf("trace (window = %d host steps):\n", coarse.Window)
+	fmt.Printf("  compute utilization  %s\n", spark(coarse.Utilization(out.LiveProcs)))
 	hopsC := coarsen(tr.Hops, k)
 	hops := make([]float64, len(hopsC))
 	var hmax float64
@@ -484,107 +546,6 @@ func printTrace(out *overlap.Outcome) error {
 		}
 	}
 	fmt.Printf("  link traffic (rel.)  %s\n", spark(hops))
-	return nil
-}
-
-// cmdTrace runs one simulation with full observability: it records the
-// structured event stream, prints the stall-cause breakdown, critical-path
-// decomposition and busiest link gauges, and optionally exports a Chrome
-// trace, a JSON summary and a link-gauge CSV.
-func cmdTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	hf := addHostFlags(fs)
-	variant := fs.String("variant", "twolevel", "overlap variant: loadone|workefficient|twolevel")
-	steps := fs.Int("steps", 64, "guest steps")
-	beta := fs.Int("beta", 0, "database block size (0 = default)")
-	bw := fs.Int("bw", 0, "link bandwidth in pebbles/step (0 = log n)")
-	workers := fs.Int("workers", 0, "parallel engine chunks (0 = sequential)")
-	seed := fs.Int64("guestseed", 7, "guest computation seed")
-	out := fs.String("out", "", "write Chrome trace-event JSON to this file")
-	summary := fs.String("summary", "", "write the JSON run summary to this file")
-	csvPath := fs.String("csv", "", "write the link gauges as CSV to this file")
-	heatmap := fs.Bool("heatmap", false, "print the per-workstation compute heatmap")
-	links := fs.Int("links", 8, "how many busiest directed links to print")
-	faults := fs.String("faults", "", "deterministic fault plan, e.g. '7:outage=0.1x8;crash=3@40' (see DESIGN.md)")
-	adaptSpec := fs.String("adapt", "", "adaptive replication policy, e.g. 'epoch=64,thresh=0.35,mode=fault' (see DESIGN.md)")
-	fs.Parse(args)
-
-	plan, pol, err := validateRunFlags(*workers, *out, *faults, *adaptSpec)
-	if err != nil {
-		return err
-	}
-	g, err := hf.build()
-	if err != nil {
-		return err
-	}
-	v, err := parseVariant(*variant)
-	if err != nil {
-		return err
-	}
-	rec := obs.NewBuffer()
-	o, err := overlap.Simulate(g, overlap.Options{
-		Variant: v, Steps: *steps, Beta: *beta, Seed: *seed,
-		Bandwidth: *bw, Workers: *workers, Recorder: rec, Faults: plan,
-		Adapt: pol,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("host: %s\n", g)
-	fmt.Printf("run: guest_steps=%d host_steps=%d slowdown=%.2f events=%d\n\n",
-		o.Sim.GuestSteps, o.Sim.HostSteps, o.Sim.Slowdown, rec.Len())
-
-	a := obs.Analyze(rec.Events(), *o.ObsInfo)
-	obs.StallTable(a.Stalls()).Fprint(os.Stdout)
-	fmt.Println()
-	obs.CritPathTable(a.CriticalPath()).Fprint(os.Stdout)
-	fmt.Println()
-
-	gauges := a.LinkGauges()
-	busiest := append([]obs.LinkGauge(nil), gauges...)
-	sort.Slice(busiest, func(i, j int) bool { return busiest[i].Injects > busiest[j].Injects })
-	if *links > 0 && len(busiest) > *links {
-		busiest = busiest[:*links]
-	}
-	lt := obs.LinkTable(busiest)
-	lt.Title = fmt.Sprintf("busiest %d of %d directed links", len(busiest), len(gauges))
-	lt.Fprint(os.Stdout)
-
-	if *heatmap {
-		window := int(o.Sim.HostSteps / 60)
-		if window < 1 {
-			window = 1
-		}
-		fmt.Printf("\ncompute heatmap (window = %d host steps):\n", window)
-		fmt.Print(obs.HeatmapString(a.Heatmap(window), 32))
-	}
-	if *out != "" {
-		if err := obs.WriteChromeTraceFile(*out, rec.Events(), a.StallSpans(), *o.ObsInfo); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s (open in chrome://tracing or Perfetto)\n", *out)
-	}
-	if *summary != "" {
-		f, err := os.Create(*summary)
-		if err != nil {
-			return err
-		}
-		if err := a.Summarize().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *summary)
-	}
-	if *csvPath != "" {
-		full := obs.LinkTable(gauges)
-		if err := full.CSVFile(*csvPath); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
 	return nil
 }
 
@@ -624,12 +585,15 @@ func cmdSweep(args []string) error {
 	fs.Parse(args)
 
 	if *fleetN > 0 {
-		mr := startMRun("sweep", args, *manifestOut, *liveFlag)
+		mr, err := startMRun("sweep", args, *manifestOut, *liveFlag)
+		if err != nil {
+			return err
+		}
 		p := fleet.Plan{Seed: *fleetSeed, N: *fleetN, Shards: *shards, Shard: *shard}
 		return runFleetSweep(os.Stdout, p, *fleetOut, *fleetWorkers, mr, *liveFlag)
 	}
 
-	plan, pol, err := validateRunFlags(0, "", *faults, *adaptSpec)
+	plan, pol, err := validateRunFlags(0, *faults, *adaptSpec)
 	if err != nil {
 		return err
 	}
@@ -637,7 +601,10 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("sweep", args, *manifestOut, *liveFlag)
+	mr, err := startMRun("sweep", args, *manifestOut, *liveFlag)
+	if err != nil {
+		return err
+	}
 	var status struct {
 		sync.Mutex
 		line string
@@ -710,7 +677,10 @@ func cmdExp(args []string) error {
 	if err != nil {
 		return err
 	}
-	mr := startMRun("exp", args, *manifestOut, *liveFlag)
+	mr, err := startMRun("exp", args, *manifestOut, *liveFlag)
+	if err != nil {
+		return err
+	}
 	mr.startSampling()
 	if *only != "" || *csvDir != "" {
 		exps := expt.All()

@@ -193,8 +193,19 @@ func TestSubcommandSmoke(t *testing.T) {
 }
 
 // captureStdout runs f with os.Stdout redirected into a pipe and returns
-// what it printed.
+// what it printed; f's error fails the test.
 func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	out, err := captureStdoutErr(t, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// captureStdoutErr is captureStdout for calls that are meant to fail: it
+// returns f's error alongside what f printed.
+func captureStdoutErr(t *testing.T, f func() error) (string, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -212,10 +223,7 @@ func captureStdout(t *testing.T, f func() error) string {
 	w.Close()
 	out := <-done
 	r.Close()
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	return out
+	return out, ferr
 }
 
 // `run -trace` on the sequential engine is deterministic, so its whole
@@ -227,19 +235,39 @@ func TestRunTraceGolden(t *testing.T) {
 	checkGolden(t, "run_trace", got)
 }
 
-// The trace subcommand must emit a structurally valid Chrome trace-event
-// file plus the JSON summary and CSV exports.
-func TestTraceSubcommand(t *testing.T) {
+// `run -links 8 -heatmap` appends the stall-cause, critical-path and
+// busiest-link tables and the compute heatmap to the run report. That block
+// is deterministic on the sequential engine and is pinned as a golden file.
+func TestRunObserveGolden(t *testing.T) {
+	got := captureStdout(t, func() error {
+		return cmdRun([]string{"-host", "random", "-n", "64", "-steps", "8", "-links", "8", "-heatmap"})
+	})
+	i := strings.Index(got, "## stall-cause breakdown")
+	if i < 0 {
+		t.Fatalf("run -links printed no stall table:\n%s", got)
+	}
+	checkGolden(t, "run_observe", got[i:])
+	plain := captureStdout(t, func() error {
+		return cmdRun([]string{"-host", "random", "-n", "64", "-steps", "8"})
+	})
+	if !strings.HasPrefix(got, plain) {
+		t.Fatalf("observation flags changed the plain report:\n--- plain ---\n%s--- observed ---\n%s", plain, got)
+	}
+}
+
+// run's observation exports must emit a structurally valid Chrome
+// trace-event file plus the JSON summary and CSV exports.
+func TestRunObserveExports(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
 	sumPath := filepath.Join(dir, "summary.json")
 	csvPath := filepath.Join(dir, "links.csv")
-	err := cmdTrace([]string{
+	err := cmdRun([]string{
 		"-host", "random", "-n", "64", "-steps", "8",
-		"-out", tracePath, "-summary", sumPath, "-csv", csvPath, "-heatmap",
+		"-trace-out", tracePath, "-summary", sumPath, "-csv", csvPath, "-heatmap",
 	})
 	if err != nil {
-		t.Fatalf("trace: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -280,6 +308,41 @@ func TestTraceSubcommand(t *testing.T) {
 	}
 }
 
+// A bad output path must fail before the command simulates anything: no
+// report line reaches stdout and no run time is spent.
+func TestBadOutputPathFailsFirst(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope", "out.json")
+	run := []string{"-host", "random", "-n", "64", "-steps", "8"}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"run -trace-out", func() error { return cmdRun(append(run, "-trace-out", missing)) }},
+		{"run -summary", func() error { return cmdRun(append(run, "-summary", missing)) }},
+		{"run -csv", func() error { return cmdRun(append(run, "-csv", missing)) }},
+		{"run -manifest-out", func() error { return cmdRun(append(run, "-manifest-out", missing)) }},
+		{"sweep -manifest-out", func() error {
+			return cmdSweep([]string{"-host", "line", "-from", "32", "-to", "32", "-steps", "4", "-manifest-out", missing})
+		}},
+		{"exp -manifest-out", func() error { return cmdExp([]string{"-only", "E10", "-manifest-out", missing}) }},
+		{"verify -manifest-out", func() error {
+			return runVerify([]string{"-seed", "1", "-n", "2", "-manifest-out", missing}, os.Stdout)
+		}},
+		{"twin -manifest-out", func() error {
+			return runTwin([]string{"-report", "-n", "4", "-manifest-out", missing}, os.Stdout)
+		}},
+	}
+	for _, tc := range cases {
+		out, err := captureStdoutErr(t, tc.call)
+		if err == nil || !strings.Contains(err.Error(), "does not exist") {
+			t.Errorf("%s: error %v, want a missing-directory error", tc.name, err)
+		}
+		if out != "" {
+			t.Errorf("%s: printed before failing:\n%s", tc.name, out)
+		}
+	}
+}
+
 func TestCoarsen(t *testing.T) {
 	got := coarsen([]int64{1, 2, 3, 4, 5}, 2)
 	want := []int64{3, 7, 5}
@@ -304,36 +367,43 @@ func TestValidateRunFlags(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	good := filepath.Join(dir, "t.json")
+	missing := filepath.Join(dir, "nope", "t.json")
 	cases := []struct {
 		name    string
 		workers int
-		out     string
+		outs    []string // -trace-out, -summary, -csv
 		faults  string
 		adapt   string
 		wantErr string // substring; empty = must succeed
 	}{
-		{"defaults", 0, "", "", "", ""},
-		{"workers ok", 4, "", "", "", ""},
-		{"negative workers", -1, "", "", "", "-workers"},
-		{"out in existing dir", 0, filepath.Join(dir, "t.json"), "", "", ""},
-		{"out in missing dir", 0, filepath.Join(dir, "nope", "t.json"), "", "", "does not exist"},
-		{"out under a file", 0, filepath.Join(file, "t.json"), "", "", "not a directory"},
-		{"good faults", 0, "", "7:outage=0.1x8;crash=3@40", "", ""},
-		{"all fault kinds", 0, "", "1:jitter=4@0.5;spike=32@0.01~1.5;outage=0.2x6#2;drift=0.2x8/4;churn=12x4#1;slow=0.3x8/0#1;crash=0@9", "", ""},
-		{"faults missing seed", 0, "", "outage=0.1x8", "", "-faults"},
-		{"faults bad kind", 0, "", "7:meteor=1", "", "-faults"},
-		{"faults bad fraction", 0, "", "7:outage=1.5x8", "", "-faults"},
-		{"faults garbage", 0, "", "::::", "", "-faults"},
-		{"good adapt", 0, "", "", "epoch=64,thresh=0.35,extra=2,budget=8", ""},
-		{"adapt mode any without faults", 0, "", "", "epoch=64,mode=any", ""},
-		{"adapt mode fault with faults", 0, "", "7:churn=12x4", "epoch=64,mode=fault", ""},
-		{"adapt mode fault without faults", 0, "", "", "epoch=64,mode=fault", "mode=fault requires a -faults plan"},
-		{"adapt missing epoch", 0, "", "", "thresh=0.5", "-adapt"},
-		{"adapt bad key", 0, "", "", "epoch=64,zeal=9", "-adapt"},
-		{"adapt bad epoch", 0, "", "", "epoch=0", "-adapt"},
+		{"defaults", 0, nil, "", "", ""},
+		{"workers ok", 4, nil, "", "", ""},
+		{"negative workers", -1, nil, "", "", "-workers"},
+		{"out in existing dir", 0, []string{good, "", ""}, "", "", ""},
+		{"all outs in existing dir", 0, []string{good, good, good}, "", "", ""},
+		{"out in missing dir", 0, []string{missing, "", ""}, "", "", "does not exist"},
+		{"out under a file", 0, []string{filepath.Join(file, "t.json"), "", ""}, "", "", "not a directory"},
+		{"summary in missing dir", 0, []string{"", missing, ""}, "", "", "does not exist"},
+		{"summary under a file", 0, []string{"", filepath.Join(file, "s.json"), ""}, "", "", "not a directory"},
+		{"csv in missing dir", 0, []string{good, "", missing}, "", "", "does not exist"},
+		{"csv under a file", 0, []string{"", "", filepath.Join(file, "l.csv")}, "", "", "not a directory"},
+		{"good faults", 0, nil, "7:outage=0.1x8;crash=3@40", "", ""},
+		{"all fault kinds", 0, nil, "1:jitter=4@0.5;spike=32@0.01~1.5;outage=0.2x6#2;drift=0.2x8/4;churn=12x4#1;slow=0.3x8/0#1;crash=0@9", "", ""},
+		{"faults missing seed", 0, nil, "outage=0.1x8", "", "-faults"},
+		{"faults bad kind", 0, nil, "7:meteor=1", "", "-faults"},
+		{"faults bad fraction", 0, nil, "7:outage=1.5x8", "", "-faults"},
+		{"faults garbage", 0, nil, "::::", "", "-faults"},
+		{"good adapt", 0, nil, "", "epoch=64,thresh=0.35,extra=2,budget=8", ""},
+		{"adapt mode any without faults", 0, nil, "", "epoch=64,mode=any", ""},
+		{"adapt mode fault with faults", 0, nil, "7:churn=12x4", "epoch=64,mode=fault", ""},
+		{"adapt mode fault without faults", 0, nil, "", "epoch=64,mode=fault", "mode=fault requires a -faults plan"},
+		{"adapt missing epoch", 0, nil, "", "thresh=0.5", "-adapt"},
+		{"adapt bad key", 0, nil, "", "epoch=64,zeal=9", "-adapt"},
+		{"adapt bad epoch", 0, nil, "", "epoch=0", "-adapt"},
 	}
 	for _, tc := range cases {
-		plan, pol, err := validateRunFlags(tc.workers, tc.out, tc.faults, tc.adapt)
+		plan, pol, err := validateRunFlags(tc.workers, tc.faults, tc.adapt, tc.outs...)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -364,6 +434,25 @@ func TestValidateRunFlags(t *testing.T) {
 			t.Errorf("%s: error is not one line: %q", tc.name, err)
 		}
 	}
+	// -manifest-out is checked by startMRun, which run, sweep, exp, verify
+	// and twin all go through before doing any work.
+	for _, tc := range []struct {
+		path    string
+		wantErr string
+	}{
+		{"", ""},
+		{good, ""},
+		{missing, "does not exist"},
+		{filepath.Join(file, "m.json"), "not a directory"},
+	} {
+		_, err := startMRun("run", nil, tc.path, false)
+		if tc.wantErr == "" && err != nil {
+			t.Errorf("manifest %q: unexpected error %v", tc.path, err)
+		}
+		if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("manifest %q: error %v, want %q", tc.path, err, tc.wantErr)
+		}
+	}
 }
 
 // The verify subcommand's soak summary is deterministic for a fixed seed
@@ -376,7 +465,7 @@ func TestVerifySubcommandGolden(t *testing.T) {
 	checkGolden(t, "verify_summary", sb.String())
 }
 
-// Every flag-validation failure across run/trace/verify must be a one-line
+// Every flag-validation failure across run/sweep/verify must be a one-line
 // error; the exact wording is pinned as a golden file.
 func TestFlagErrorsGolden(t *testing.T) {
 	var sb strings.Builder
@@ -390,18 +479,26 @@ func TestFlagErrorsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s: %v\n", label, err)
 	}
-	_, _, err := validateRunFlags(-1, "", "", "")
-	collect("run/trace -workers", err)
-	_, _, err = validateRunFlags(0, filepath.Join("no", "such", "dir", "t.json"), "", "")
-	collect("run/trace -trace-out", err)
-	_, _, err = validateRunFlags(0, "", "outage=0.1x8", "")
-	collect("run/trace -faults no seed", err)
-	_, _, err = validateRunFlags(0, "", "7:meteor=1", "")
-	collect("run/trace -faults bad kind", err)
-	_, _, err = validateRunFlags(0, "", "", "epoch=0")
+	missing := filepath.Join("no", "such", "dir", "t.json")
+	_, _, err := validateRunFlags(-1, "", "")
+	collect("run -workers", err)
+	_, _, err = validateRunFlags(0, "", "", missing, "", "")
+	collect("run -trace-out", err)
+	_, _, err = validateRunFlags(0, "", "", "", missing, "")
+	collect("run -summary", err)
+	_, _, err = validateRunFlags(0, "", "", "", "", missing)
+	collect("run -csv", err)
+	_, err = startMRun("run", nil, missing, false)
+	collect("run/sweep/exp/verify/twin -manifest-out", err)
+	_, _, err = validateRunFlags(0, "outage=0.1x8", "")
+	collect("run -faults no seed", err)
+	_, _, err = validateRunFlags(0, "7:meteor=1", "")
+	collect("run -faults bad kind", err)
+	_, _, err = validateRunFlags(0, "", "epoch=0")
 	collect("run/sweep -adapt bad epoch", err)
-	_, _, err = validateRunFlags(0, "", "", "epoch=64,mode=fault")
+	_, _, err = validateRunFlags(0, "", "epoch=64,mode=fault")
 	collect("run/sweep -adapt fault mode without -faults", err)
+	collect("run -links", cmdRun([]string{"-links", "-1"}))
 	collect("verify -n", runVerify([]string{"-n", "0"}, io.Discard))
 	checkGolden(t, "flag_errors", sb.String())
 }
@@ -628,8 +725,5 @@ func TestRunWithFaults(t *testing.T) {
 	}
 	if err := cmdRun([]string{"-host", "line", "-n", "48", "-workers", "-2"}); err == nil {
 		t.Fatal("negative -workers accepted")
-	}
-	if err := cmdTrace([]string{"-host", "line", "-n", "48", "-workers", "-2"}); err == nil {
-		t.Fatal("trace: negative -workers accepted")
 	}
 }

@@ -36,11 +36,16 @@ func manifestFlags(fs *flag.FlagSet) (manifestOut *string, live *bool) {
 }
 
 // startMRun begins manifest/live capture for one command invocation. args is
-// the command's raw argument list (hashed into the config identity). Returns
-// nil — a no-op — when neither flag was given.
-func startMRun(command string, args []string, manifestOut string, live bool) *mrun {
+// the command's raw argument list (hashed into the config identity). It
+// rejects a -manifest-out path whose directory does not exist, so the error
+// comes before the command's work rather than after it. Returns nil — a
+// no-op — when neither flag was given.
+func startMRun(command string, args []string, manifestOut string, live bool) (*mrun, error) {
+	if err := checkOutPath(manifestOut); err != nil {
+		return nil, err
+	}
 	if manifestOut == "" && !live {
-		return nil
+		return nil, nil
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -56,7 +61,7 @@ func startMRun(command string, args []string, manifestOut string, live bool) *mr
 			StartedAt:  time.Now().UTC().Format(time.RFC3339),
 		},
 	}
-	return r
+	return r, nil
 }
 
 // registry returns the engine registry to attach to the run (nil when no

@@ -44,7 +44,10 @@ func runTwin(args []string, w io.Writer) error {
 	if *report == *fit {
 		return fmt.Errorf("twin: pass exactly one of -report or -fit")
 	}
-	mr := startMRun("twin", args, *manifestOut, *liveFlag)
+	mr, err := startMRun("twin", args, *manifestOut, *liveFlag)
+	if err != nil {
+		return err
+	}
 	results, source, err := twinResults(mr, *liveFlag, *store, *seed, *n, *workers)
 	if err != nil {
 		return err

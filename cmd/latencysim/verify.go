@@ -46,7 +46,10 @@ func runVerify(args []string, w io.Writer) error {
 			return sc
 		}
 	}
-	mr := startMRun("verify", args, *manifestOut, *liveFlag)
+	mr, err := startMRun("verify", args, *manifestOut, *liveFlag)
+	if err != nil {
+		return err
+	}
 	var done atomic.Int64
 	mr.startSampling()
 	mr.startLive(*liveFlag, func() string {

@@ -84,12 +84,13 @@ func All() []*Experiment {
 // a sequential run because each experiment renders into its own buffer and
 // the buffers are flushed in registry (ID) order.
 func RunAll(w io.Writer, scale Scale, md bool) error {
-	return RunAllWorkers(w, scale, md, 0)
+	_, err := RunAllTimed(w, scale, md, 0, nil)
+	return err
 }
 
 // runOne executes one experiment, converting a panic into that experiment's
 // error (with the stack) so a bug in one experiment cannot take down the
-// whole harness — or, under RunAllWorkers, the goroutines running its
+// whole harness — or, under RunAllTimed, the goroutines running its
 // concurrent siblings.
 func runOne(e *Experiment, scale Scale) (tables []*metrics.Table, err error) {
 	defer func() {
@@ -106,18 +107,12 @@ type Timing struct {
 	Wall time.Duration
 }
 
-// RunAllWorkers is RunAll with an explicit concurrency bound; workers <= 0
-// means GOMAXPROCS, 1 runs strictly sequentially.
-func RunAllWorkers(w io.Writer, scale Scale, md bool, workers int) error {
-	_, err := RunAllTimed(w, scale, md, workers, nil)
-	return err
-}
-
-// RunAllTimed is RunAllWorkers returning per-experiment wall timings (in ID
-// order) and reporting progress: after each experiment finishes, progress is
-// called with the completion count, the total, and the experiment's ID.
-// progress may be called from multiple goroutines concurrently; nil disables
-// it.
+// RunAllTimed is RunAll with an explicit concurrency bound (workers <= 0
+// means GOMAXPROCS, 1 runs strictly sequentially), returning per-experiment
+// wall timings (in ID order) and reporting progress: after each experiment
+// finishes, progress is called with the completion count, the total, and the
+// experiment's ID. progress may be called from multiple goroutines
+// concurrently; nil disables it.
 func RunAllTimed(w io.Writer, scale Scale, md bool, workers int, progress func(done, total int, id string)) ([]Timing, error) {
 	exps := All()
 	if workers <= 0 {

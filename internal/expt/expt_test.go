@@ -73,10 +73,10 @@ func TestRunAllParallelOutputIdentical(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var seq bytes.Buffer
-	seqErr := RunAllWorkers(&seq, Quick, true, 1)
+	_, seqErr := RunAllTimed(&seq, Quick, true, 1, nil)
 	for _, workers := range []int{0, 2, 4} {
 		var par bytes.Buffer
-		parErr := RunAllWorkers(&par, Quick, true, workers)
+		_, parErr := RunAllTimed(&par, Quick, true, workers, nil)
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("workers=%d: error mismatch: seq=%v par=%v", workers, seqErr, parErr)
 		}
@@ -374,7 +374,7 @@ func TestRunAllIsolatesPanics(t *testing.T) {
 	})
 	defer delete(registry, id)
 	var buf bytes.Buffer
-	err := RunAllWorkers(&buf, Quick, false, 4)
+	_, err := RunAllTimed(&buf, Quick, false, 4, nil)
 	if err == nil || !strings.Contains(err.Error(), "E99") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic not reported as E99's error: %v", err)
 	}

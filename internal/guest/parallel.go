@@ -11,18 +11,26 @@ import (
 // stay per-cell sequential, so results are bit-identical to RunDigest;
 // tests assert it. The host engines use it for verification of large runs.
 func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return runDigest(spec, workers)
+}
+
+// runDigest is the one two-row executor behind RunDigest and
+// RunDigestParallel. One worker, or fewer than 256 nodes, runs every row
+// inline on the caller's goroutine; otherwise each step's row is statically
+// sharded across workers goroutines.
+func runDigest(spec Spec, workers int) (*DigestResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	m := spec.Graph.NumNodes()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > m {
 		workers = m
 	}
-	if workers <= 1 || m < 256 {
-		return RunDigest(spec)
+	if m < 256 {
+		workers = 1
 	}
 	factory := spec.Factory()
 	dbs := make([]Database, m)
@@ -42,24 +50,21 @@ func RunDigestParallel(spec Spec, workers int) (*DigestResult, error) {
 	}
 	var wg sync.WaitGroup
 	var work int64
+	var scratch [8]uint64
 	for t := 1; t <= spec.Steps; t++ {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(lo, hi, t int) {
-				defer wg.Done()
-				var scratch [8]uint64
-				for i := lo; i < hi; i++ {
-					nv := scratch[:0]
-					for _, j := range spec.Graph.Neighbors(i) {
-						nv = append(nv, prev[j])
-					}
-					v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
-					next[i] = v
-					dbs[i].Apply(Update{Node: i, Step: t, Val: v})
-				}
-			}(bounds[w], bounds[w+1], t)
+		if workers <= 1 {
+			spec.stepCells(dbs, prev, next, scratch[:], 0, m, t)
+		} else {
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(lo, hi, t int) {
+					defer wg.Done()
+					var scratch [8]uint64
+					spec.stepCells(dbs, prev, next, scratch[:], lo, hi, t)
+				}(bounds[w], bounds[w+1], t)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		prev, next = next, prev
 		work += int64(m)
 	}

@@ -102,18 +102,8 @@ func Run(spec Spec) (*Result, error) {
 	res.Values[0] = row
 	var scratch [8]uint64
 	for t := 1; t <= spec.Steps; t++ {
-		prev := res.Values[t-1]
 		next := make([]uint64, m)
-		for i := 0; i < m; i++ {
-			ns := spec.Graph.Neighbors(i)
-			nv := scratch[:0]
-			for _, j := range ns {
-				nv = append(nv, prev[j])
-			}
-			v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
-			next[i] = v
-			dbs[i].Apply(Update{Node: i, Step: t, Val: v})
-		}
+		spec.stepCells(dbs, res.Values[t-1], next, scratch[:], 0, m, t)
 		res.Values[t] = next
 		res.Work += int64(m)
 	}
@@ -132,54 +122,25 @@ type DigestResult struct {
 	Work         int64
 }
 
+// stepCells computes step t's pebbles for nodes [lo, hi) from the previous
+// row into next and applies each to its node's database, gathering neighbor
+// values in scratch. Every cell reads only prev, so disjoint ranges of one
+// step may run concurrently, each with its own scratch.
+func (spec *Spec) stepCells(dbs []Database, prev, next, scratch []uint64, lo, hi, t int) {
+	for i := lo; i < hi; i++ {
+		nv := scratch[:0]
+		for _, j := range spec.Graph.Neighbors(i) {
+			nv = append(nv, prev[j])
+		}
+		v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
+		next[i] = v
+		dbs[i].Apply(Update{Node: i, Step: t, Val: v})
+	}
+}
+
 // RunDigest executes the guest computation keeping only two rows of pebbles,
 // returning the final row and database digests. Suitable for large sweeps
 // where storing the full grid would dominate memory.
 func RunDigest(spec Spec) (*DigestResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	m := spec.Graph.NumNodes()
-	factory := spec.Factory()
-	dbs := make([]Database, m)
-	for i := range dbs {
-		dbs[i] = factory(i, spec.Seed)
-	}
-	prev := make([]uint64, m)
-	next := make([]uint64, m)
-	for i := range prev {
-		prev[i] = spec.InitialValue(i)
-	}
-	var scratch [8]uint64
-	var work int64
-	for t := 1; t <= spec.Steps; t++ {
-		for i := 0; i < m; i++ {
-			nv := scratch[:0]
-			for _, j := range spec.Graph.Neighbors(i) {
-				nv = append(nv, prev[j])
-			}
-			v := spec.Compute(dbs[i].Digest(), i, t, prev[i], nv)
-			next[i] = v
-			dbs[i].Apply(Update{Node: i, Step: t, Val: v})
-		}
-		prev, next = next, prev
-		work += int64(m)
-	}
-	out := &DigestResult{
-		LastRow:      append([]uint64(nil), prev...),
-		FinalDigests: make([]uint64, m),
-		Work:         work,
-	}
-	h := uint64(0x9216d5d98979fb1b)
-	for i, db := range dbs {
-		out.FinalDigests[i] = db.Digest()
-	}
-	for _, v := range out.LastRow {
-		h = combine(h, v)
-	}
-	for _, v := range out.FinalDigests {
-		h = combine(h, v)
-	}
-	out.Checksum = h
-	return out, nil
+	return runDigest(spec, 1)
 }

@@ -147,6 +147,10 @@ type Outcome struct {
 	KilledStage1, KilledStage2 int
 	GuestUnits                 int // root label n'
 
+	// Tree is the processed interval tree (killing rounds and labeling
+	// stages done) the assignment was built from; BuildSchedule reads it.
+	Tree *tree.Tree
+
 	// Assignment facts.
 	GuestCols  int
 	Load       int
@@ -187,6 +191,7 @@ func SimulateLine(delays []int, opt Options) (*Outcome, error) {
 		Dave: t.Dave, LogN: t.LogN,
 		KilledStage1: t.KilledStage1, KilledStage2: t.KilledStage2,
 		GuestUnits: t.GuestSize(),
+		Tree:       t,
 	}
 	for _, d := range delays {
 		if d > out.Dmax {

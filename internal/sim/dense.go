@@ -137,13 +137,6 @@ func newDenseKnow(universe []int32) denseKnow {
 	return k
 }
 
-// denseOf resolves a guest column to its dense ring index (-1 when the
-// column is outside this store's universe). The engine hot paths never call
-// it — compute paths carry precomputed indexes (ownedCol.selfDense, the
-// chunk's nbDense arena) and deliveries carry them on the route — it exists
-// for tests and diagnostics.
-func (k *denseKnow) denseOf(col int32) int32 { return denseIndex(k.universe, col) }
-
 // get returns the value stored for (dense, step) and whether it is known. A
 // tag mismatch means the step is genuinely absent: a live step is only ever
 // stored at its own residue, so no other slot could hold it.
@@ -258,10 +251,6 @@ func (k *denseKnow) del(dense, step int32) {
 		}
 	}
 }
-
-// size reports the claimed slots across all rings (known values plus
-// pending waiter anchors).
-func (k *denseKnow) size() int { return int(k.live) }
 
 // grow widens r until its capacity covers the whole live step span
 // including step, then rehomes every live slot. Capacity >= span keeps

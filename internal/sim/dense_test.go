@@ -6,6 +6,10 @@ import (
 	"latencyhide/internal/guest"
 )
 
+// size reports the claimed slots across all rings (known values plus
+// pending waiter anchors).
+func (k *denseKnow) size() int { return int(k.live) }
+
 func singleColKnow() denseKnow {
 	return newDenseKnow([]int32{7})
 }

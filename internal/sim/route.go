@@ -91,35 +91,6 @@ func (rt *routeTable) routesFor(pos, slot int) []int32 {
 	return rt.routeIDs[rt.slotOff[s]:rt.slotOff[s+1]]
 }
 
-// destsOf decodes route id's destination positions in travel order.
-// Tests and diagnostics only — the hot path walks the chain incrementally.
-func (rt *routeTable) destsOf(id int32) []int32 {
-	r := &rt.routes[id]
-	out := make([]int32, r.n)
-	pos := r.sender
-	for j := int32(0); j < r.n; j++ {
-		delta := rt.chainArena[r.off+2*j]
-		if r.dir > 0 {
-			pos += delta
-		} else {
-			pos -= delta
-		}
-		out[j] = pos
-	}
-	return out
-}
-
-// destDenseOf decodes route id's per-destination dense store indexes,
-// parallel to destsOf. Tests and diagnostics only.
-func (rt *routeTable) destDenseOf(id int32) []int32 {
-	r := &rt.routes[id]
-	out := make([]int32, r.n)
-	for j := int32(0); j < r.n; j++ {
-		out[j] = rt.chainArena[r.off+2*j+1]
-	}
-	return out
-}
-
 // bytes reports the table's resident footprint: fixed records plus the
 // shared arena and the flattened sender index.
 func (rt *routeTable) bytes() int64 {
@@ -371,39 +342,4 @@ func (rt *routeTable) countCrossings(hostN int, lasts []int32) {
 		rt.crossR[i] = sumR
 		rt.crossL[i] = sumL
 	}
-}
-
-// validate double-checks structural soundness; engines call it in tests via
-// an exported hook. Positive deltas make chains strictly monotone by
-// construction, so the checks mirror the old per-destination ordering
-// checks exactly.
-func (rt *routeTable) validate(hostN int) error {
-	for i := range rt.routes {
-		r := &rt.routes[i]
-		if r.n == 0 {
-			return fmt.Errorf("sim: route %d has no destinations", i)
-		}
-		if r.off < 0 || int(r.off+2*r.n) > len(rt.chainArena) {
-			return fmt.Errorf("sim: route %d chain span [%d, %d) outside arena", i, r.off, r.off+2*r.n)
-		}
-		pos := r.sender
-		for j := int32(0); j < r.n; j++ {
-			delta := rt.chainArena[r.off+2*j]
-			if delta < 1 {
-				return fmt.Errorf("sim: route %d hop %d has non-positive delta %d", i, j, delta)
-			}
-			if r.dir > 0 {
-				pos += delta
-			} else {
-				pos -= delta
-			}
-			if pos < 0 || int(pos) >= hostN {
-				return fmt.Errorf("sim: route %d dest %d out of range", i, pos)
-			}
-			if rt.chainArena[r.off+2*j+1] < 0 {
-				return fmt.Errorf("sim: route %d hop %d has negative dense index", i, j)
-			}
-		}
-	}
-	return nil
 }

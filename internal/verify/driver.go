@@ -23,21 +23,23 @@ type Report struct {
 	Violations []Violation
 }
 
-// run executes one engine configuration, optionally recording its stream.
-func run(cfg *sim.Config, workers int, record bool) (*sim.Result, []obs.Event, error) {
+// run executes one engine configuration, checked against the guest
+// reference executor and optionally recording its stream. It sets Workers,
+// Check and Recorder on its own copy of cfg, so no run inherits another
+// run's engine or recorder.
+func run(cfg sim.Config, workers int, record bool) (*sim.Result, []obs.Event, error) {
 	cfg.Workers = workers
 	cfg.Check = true
-	var rec *obs.Buffer
+	cfg.Recorder = nil
 	if record {
-		rec = obs.NewBuffer()
-		cfg.Recorder = rec
+		cfg.Recorder = obs.NewBuffer()
 	}
-	res, err := sim.Run(*cfg)
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if rec != nil {
-		return res, rec.Events(), nil
+	if record {
+		return res, cfg.Recorder.Events(), nil
 	}
 	return res, nil, nil
 }
@@ -72,7 +74,7 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verify: scenario %q does not build: %w", sc, err)
 	}
-	seqRes, seqEvents, err := run(cfg, 0, true)
+	seqRes, seqEvents, err := run(*cfg, 0, true)
 	if err != nil {
 		return nil, fmt.Errorf("verify: scenario %q sequential run: %w", sc, err)
 	}
@@ -87,11 +89,7 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	// Engine equivalence: the parallel engine must produce a bit-identical
 	// stream and the same aggregates.
 	rep.Relations = append(rep.Relations, "engine-equivalence")
-	pcfg, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	parRes, parEvents, err := run(pcfg, sc.Workers, true)
+	parRes, parEvents, err := run(*cfg, sc.Workers, true)
 	if err != nil {
 		return nil, fmt.Errorf("verify: scenario %q parallel run: %w", sc, err)
 	}
@@ -112,10 +110,7 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	// Seed invariance: the schedule is value-independent, so changing the
 	// guest seed (same delays, same assignment) moves no event counters.
 	rep.Relations = append(rep.Relations, "seed-invariance")
-	scfg, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
+	scfg := *cfg
 	scfg.Guest.Seed = sc.Seed + 1
 	seedRes, _, err := run(scfg, 0, false)
 	if err != nil {
@@ -139,7 +134,7 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		oneRes, _, err := run(ocfg, 0, false)
+		oneRes, _, err := run(*ocfg, 0, false)
 		if err != nil {
 			return nil, fmt.Errorf("verify: scenario %q rep=1 variant: %w", sc, err)
 		}
@@ -181,7 +176,6 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	// plan.
 	if sc.Faults != nil && len(sc.Faults.Outages) > 0 {
 		rep.Relations = append(rep.Relations, "outage-monotone")
-		worse := *sc
 		plan := *sc.Faults
 		plan.Outages = append([]fault.Outage(nil), sc.Faults.Outages...)
 		for i := range plan.Outages {
@@ -190,7 +184,6 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 				plan.Outages[i].Frac = 1
 			}
 		}
-		worse.Faults = &plan
 	subset:
 		for link := 0; link < sc.HostN-1; link++ {
 			for step := int64(1); step <= seqRes.HostSteps; step++ {
@@ -204,24 +197,18 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 			baseSteps := seqRes.HostSteps
 			if len(plan.Jitters) > 0 {
 				plan.Jitters = nil
-				calm := *sc
 				calmPlan := *sc.Faults
 				calmPlan.Jitters = nil
-				calm.Faults = &calmPlan
-				ccfg, err := calm.Build()
-				if err != nil {
-					return nil, err
-				}
+				ccfg := *cfg
+				ccfg.Faults = &calmPlan
 				calmRes, _, err := run(ccfg, 0, false)
 				if err != nil {
 					return nil, fmt.Errorf("verify: scenario %q jitter-free variant: %w", sc, err)
 				}
 				baseSteps = calmRes.HostSteps
 			}
-			wcfg, err := worse.Build()
-			if err != nil {
-				return nil, err
-			}
+			wcfg := *cfg
+			wcfg.Faults = &plan
 			worseRes, _, err := run(wcfg, 0, false)
 			if err != nil {
 				return nil, fmt.Errorf("verify: scenario %q outage variant: %w", sc, err)
@@ -240,7 +227,7 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	// non-adaptive runs (placement ties break toward the lower host).
 	if sc.Rep == 1 && sc.Faults == nil && sc.Adapt == nil {
 		rep.Relations = append(rep.Relations, "mirror-invariance")
-		mcfg, err := sc.buildMirror()
+		mcfg, err := mirror(*cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -256,14 +243,9 @@ func CheckScenario(sc *Scenario) (*Report, error) {
 	return rep, nil
 }
 
-// buildMirror builds the scenario's configuration with the host line
-// reversed: delays flipped and every position p's columns moved to
-// hostN-1-p.
-func (s *Scenario) buildMirror() (*sim.Config, error) {
-	cfg, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
+// mirror returns cfg with the host line reversed: delays flipped and every
+// position p's columns moved to hostN-1-p.
+func mirror(cfg sim.Config) (sim.Config, error) {
 	n := len(cfg.Delays) + 1
 	rev := make([]int, len(cfg.Delays))
 	for i, d := range cfg.Delays {
@@ -275,7 +257,7 @@ func (s *Scenario) buildMirror() (*sim.Config, error) {
 	}
 	a, err := assign.FromOwned(n, cfg.Assign.Columns, owned)
 	if err != nil {
-		return nil, err
+		return sim.Config{}, err
 	}
 	cfg.Delays = rev
 	cfg.Assign = a
@@ -324,19 +306,13 @@ func (r *SoakResult) Summary(w io.Writer) {
 // Soak generates and checks n scenarios from the seed's stream. The error
 // return is infrastructural; verification failures are in the result.
 func Soak(seed uint64, n int) (*SoakResult, error) {
-	return SoakProgress(seed, n, nil)
+	return SoakGen(seed, n, Generate, nil)
 }
 
-// SoakProgress is Soak with a progress callback invoked after each scenario
-// with the number checked so far (nil disables it); the CLI's -live status
-// line hangs off it.
-func SoakProgress(seed uint64, n int, progress func(done int)) (*SoakResult, error) {
-	return SoakGen(seed, n, Generate, progress)
-}
-
-// SoakGen is SoakProgress over an arbitrary scenario generator (Generate
-// for the standard stream, GenerateChaos for the regime-restricted CI
-// soak).
+// SoakGen is Soak over an arbitrary scenario generator (Generate for the
+// standard stream, GenerateChaos for the regime-restricted CI soak), with a
+// progress callback invoked after each scenario with the number checked so
+// far (nil disables it); the CLI's -live status line hangs off it.
 func SoakGen(seed uint64, n int, gen func(seed uint64, i int) *Scenario, progress func(done int)) (*SoakResult, error) {
 	out := &SoakResult{Seed: seed, Scenarios: n, Relations: map[string]int{}}
 	for i := 0; i < n; i++ {
