@@ -434,7 +434,7 @@ func cmdRun(args []string) error {
 			fmt.Print(obs.HeatmapString(a.Heatmap(window), 32))
 		}
 		if *traceOut != "" {
-			if err := obs.WriteChromeTraceFile(*traceOut, rec.Events(), a.StallSpans(), *out.ObsInfo); err != nil {
+			if err := obs.WriteChromeTraceFile(*traceOut, a); err != nil {
 				return err
 			}
 			fmt.Printf("trace-out: wrote %s (%d events; open in chrome://tracing or Perfetto)\n",

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -339,6 +341,44 @@ func TestBadOutputPathFailsFirst(t *testing.T) {
 		}
 		if out != "" {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, out)
+		}
+	}
+}
+
+// A write that fails after the file opened must fail the run too:
+// /dev/full accepts the open and rejects every write. The -trace-out case
+// guards the buffered writer's final flush.
+func TestRunExportWriteErrors(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	run := []string{"-host", "random", "-n", "32", "-steps", "8"}
+	for _, flag := range []string{"-csv", "-summary", "-trace-out"} {
+		_, err := captureStdoutErr(t, func() error { return cmdRun(append(run, flag, "/dev/full")) })
+		if err == nil {
+			t.Errorf("run %s /dev/full: no error", flag)
+		}
+	}
+}
+
+// The Chrome export is pinned byte for byte, at both engines, on a faulted
+// B=1 run whose trace holds compute, inject, deliver and fault slices and
+// dependency and fault stalls (2,175,764 bytes).
+func TestRunTraceOutPinned(t *testing.T) {
+	const want = "1aeabed7106b37d5b1dfeccd9d1620736d51e955112e41a70744b628c650b5d2"
+	for _, workers := range []string{"0", "2"} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		captureStdout(t, func() error {
+			return cmdRun([]string{"-host", "random", "-n", "32", "-steps", "8", "-bw", "1",
+				"-faults", "7:outage=0.1x8;slow=0.2x8/0#3;jitter=2@0.5",
+				"-workers", workers, "-trace-out", path})
+		})
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("-workers %s: trace sha256 %x (%d bytes), want %s", workers, sum, len(raw), want)
 		}
 	}
 }

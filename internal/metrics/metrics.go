@@ -125,12 +125,17 @@ func (t *Table) Markdown(w io.Writer) {
 }
 
 // CSV renders the table as comma-separated values (no escaping of commas in
-// cells; the harness never emits them).
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Headers, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
+// cells; the harness never emits them) and returns the first write error.
+func (t *Table) CSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, strings.Join(t.Headers, ",")); err != nil {
+		return err
 	}
+	for _, row := range t.Rows {
+		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CSVFile writes the table as CSV to path.
@@ -139,7 +144,10 @@ func (t *Table) CSVFile(path string) error {
 	if err != nil {
 		return err
 	}
-	t.CSV(f)
+	if err := t.CSV(f); err != nil {
+		f.Close()
+		return err
+	}
 	return f.Close()
 }
 

@@ -49,7 +49,6 @@ type hop struct {
 
 // msgPath is a message's full relay chain in travel order.
 type msgPath struct {
-	col     int32
 	sender  int32
 	compute int64 // producer's compute step (first enqueue)
 	hops    []hop
@@ -77,7 +76,6 @@ type Analysis struct {
 	paths     map[pathKey]*msgPath
 
 	procBusy [][]int64    // sorted distinct compute steps per position
-	finish   []int64      // last compute step per position (0 = never)
 	queueIv  [][]interval // merged queue-residency intervals of messages later delivered to the position
 	// faultIv holds the merged per-position fault exposure: the position's
 	// own slowdown/crash spans, plus the outage spans of links that held up
@@ -87,16 +85,25 @@ type Analysis struct {
 }
 
 // Analyze builds the shared analysis structures from a canonical event
-// stream and its run facts.
+// stream and its run facts in one pass, in stream order. It relies on the
+// canonical order (see Canonicalize): each position's computes and each
+// message's hops arrive in step order, and every hop and outage a delivery
+// waited on comes before that delivery, so nothing is sorted or revisited
+// except the per-position intervals, which are merged at the end.
 func Analyze(events []Event, info RunInfo) *Analysis {
+	// A finished run computes every assigned pebble once: size the compute
+	// map for that up front rather than regrow it.
+	var pebbles int64
+	for _, n := range info.ProcPebbles {
+		pebbles += n
+	}
 	a := &Analysis{
 		Info:      info,
 		events:    events,
-		computeAt: make(map[procKey]int64),
+		computeAt: make(map[procKey]int64, min(pebbles, int64(len(events)))),
 		deliverAt: make(map[procKey]delivered),
 		paths:     make(map[pathKey]*msgPath),
 		procBusy:  make([][]int64, info.HostN),
-		finish:    make([]int64, info.HostN),
 		queueIv:   make([][]interval, info.HostN),
 		faultIv:   make([][]interval, info.HostN),
 	}
@@ -122,86 +129,37 @@ func Analyze(events []Event, info RunInfo) *Analysis {
 		switch e.Kind {
 		case KindCompute:
 			a.computeAt[procKey{e.Proc, e.Col, e.GStep}] = e.Step
-			a.procBusy[e.Proc] = append(a.procBusy[e.Proc], e.Step)
+			// ComputePerStep > 1 computes several pebbles in one step.
+			if b := a.procBusy[e.Proc]; len(b) == 0 || b[len(b)-1] != e.Step {
+				a.procBusy[e.Proc] = append(b, e.Step)
+			}
 		case KindInject:
+			// The producer enqueues at its compute step, a relay at the
+			// previous hop's arrival step.
 			k := pathKey{e.Route, e.GStep}
 			p := a.paths[k]
+			var enqueue int64
 			if p == nil {
-				p = &msgPath{col: e.Col}
+				sender := e.Link
+				if e.Dir < 0 {
+					sender = e.Link + 1
+				}
+				p = &msgPath{sender: sender, compute: a.computeAt[procKey{sender, e.Col, e.GStep}]}
 				a.paths[k] = p
+				enqueue = p.compute
+			} else {
+				last := p.hops[len(p.hops)-1]
+				enqueue = last.inject + int64(a.delay(last.link))
 			}
 			arrive := e.Link
 			if e.Dir > 0 {
 				arrive = e.Link + 1
 			}
-			p.hops = append(p.hops, hop{link: e.Link, dir: e.Dir, inject: e.Step, arrivePos: arrive})
+			p.hops = append(p.hops, hop{link: e.Link, dir: e.Dir, inject: e.Step, enqueue: enqueue, arrivePos: arrive})
 		case KindDeliver:
 			a.deliverAt[procKey{e.Proc, e.Col, e.GStep}] = delivered{step: e.Step, route: e.Route}
-		}
-	}
-	// Busy steps: sort and deduplicate (ComputePerStep > 1 computes several
-	// pebbles in one step).
-	for p := range a.procBusy {
-		b := a.procBusy[p]
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		out := b[:0]
-		for _, s := range b {
-			if len(out) == 0 || out[len(out)-1] != s {
-				out = append(out, s)
-			}
-		}
-		a.procBusy[p] = out
-		if len(out) > 0 {
-			a.finish[p] = out[len(out)-1]
-		}
-	}
-	// Message paths: order hops by step (relaying is strictly step-ordered),
-	// recover the sender and producer compute step, then derive each hop's
-	// enqueue step: the producer enqueues at its compute step, relays at the
-	// previous hop's arrival step.
-	for gk, p := range a.paths {
-		sort.Slice(p.hops, func(i, j int) bool { return p.hops[i].inject < p.hops[j].inject })
-		h0 := p.hops[0]
-		p.sender = h0.link
-		if h0.dir < 0 {
-			p.sender = h0.link + 1
-		}
-		p.compute = a.computeAt[procKey{p.sender, p.col, gk.gstep}]
-		prev := p.compute
-		for i := range p.hops {
-			p.hops[i].enqueue = prev
-			prev = p.hops[i].inject + int64(a.delay(p.hops[i].link))
-		}
-	}
-	// Per-position queue intervals: for every delivered message, the steps
-	// it spent queued on the hops between its producer and this position.
-	// Queue steps that overlap an outage on the hop's link are the fault's
-	// doing, not bandwidth contention — credit them to the receiver's fault
-	// exposure instead.
-	for dk, d := range a.deliverAt {
-		p := a.paths[pathKey{d.route, dk.gstep}]
-		if p == nil {
-			continue
-		}
-		for _, h := range p.hops {
-			if h.inject > h.enqueue {
-				q := interval{h.enqueue, h.inject - 1}
-				a.queueIv[dk.proc] = append(a.queueIv[dk.proc], q)
-				for _, ov := range outageIv[h.link] {
-					lo, hi := q.lo, q.hi
-					if ov.lo > lo {
-						lo = ov.lo
-					}
-					if ov.hi < hi {
-						hi = ov.hi
-					}
-					if lo <= hi {
-						a.faultIv[dk.proc] = append(a.faultIv[dk.proc], interval{lo, hi})
-					}
-				}
-			}
-			if h.arrivePos == dk.proc {
-				break
+			if p := a.paths[pathKey{e.Route, e.GStep}]; p != nil {
+				a.addQueueing(e.Proc, p, outageIv)
 			}
 		}
 	}
@@ -210,6 +168,29 @@ func Analyze(events []Event, info RunInfo) *Analysis {
 		a.faultIv[p] = mergeIntervals(a.faultIv[p])
 	}
 	return a
+}
+
+// addQueueing records, for a message delivered to proc, the steps it spent
+// queued on the hops between its producer and proc. Queue steps that overlap
+// an outage on the hop's link are the fault's doing, not bandwidth
+// contention: they also go into the receiver's fault exposure, which
+// outranks the queue intervals when stalls are tiled.
+func (a *Analysis) addQueueing(proc int32, p *msgPath, outageIv map[int32][]interval) {
+	for _, h := range p.hops {
+		if h.inject > h.enqueue {
+			q := interval{h.enqueue, h.inject - 1}
+			a.queueIv[proc] = append(a.queueIv[proc], q)
+			for _, ov := range outageIv[h.link] {
+				lo, hi := max(q.lo, ov.lo), min(q.hi, ov.hi)
+				if lo <= hi {
+					a.faultIv[proc] = append(a.faultIv[proc], interval{lo, hi})
+				}
+			}
+		}
+		if h.arrivePos == proc {
+			break
+		}
+	}
 }
 
 func (a *Analysis) delay(link int32) int {
@@ -244,47 +225,42 @@ func splitBy(ivs []interval, lo, hi int64, hit, miss func(lo, hi int64)) {
 	}
 }
 
-// StallSpans derives KindStall events: for every position, the maximal runs
-// of steps in [1, last own compute] with work remaining but nothing
-// computed, tiled by cause with priority fault > bandwidth > dependency:
+// stallGaps walks position p's stalled steps — the maximal runs of steps in
+// [1, last own compute] with work remaining but nothing computed — in step
+// order, tiled by cause with priority fault > bandwidth > dependency:
 // fault-exposed sub-spans first (an injected fault held this position or its
 // inbound traffic up), then bandwidth-stalled sub-spans (a value later
 // delivered here was sitting in an injection queue), then the
-// dependency-stalled remainder. Spans are returned in (step, proc) order.
-func (a *Analysis) StallSpans() []Event {
-	var spans []Event
-	emit := func(proc int32, lo, hi int64, cause Cause) {
-		if hi < lo {
-			return
-		}
-		spans = append(spans, Event{
-			Step: lo, Kind: KindStall, Proc: proc, Link: -1, Route: -1,
-			Dur: hi - lo + 1, Cause: cause,
-		})
-	}
-	for p := 0; p < a.Info.HostN; p++ {
-		busy := a.procBusy[p]
-		if len(busy) == 0 {
-			continue
-		}
-		qivs, fivs := a.queueIv[p], a.faultIv[p]
-		proc := int32(p)
-		splitGap := func(lo, hi int64) {
-			splitBy(fivs, lo, hi,
-				func(l, h int64) { emit(proc, l, h, CauseFault) },
+// dependency-stalled remainder. emit gets each non-empty sub-span.
+func (a *Analysis) stallGaps(p int, emit func(lo, hi int64, cause Cause)) {
+	qivs, fivs := a.queueIv[p], a.faultIv[p]
+	prev := int64(0) // step 0 is initial state; work exists from step 1
+	for _, b := range a.procBusy[p] {
+		if b > prev+1 {
+			splitBy(fivs, prev+1, b-1,
+				func(l, h int64) { emit(l, h, CauseFault) },
 				func(l, h int64) {
 					splitBy(qivs, l, h,
-						func(l2, h2 int64) { emit(proc, l2, h2, CauseBandwidth) },
-						func(l2, h2 int64) { emit(proc, l2, h2, CauseDependency) })
+						func(l2, h2 int64) { emit(l2, h2, CauseBandwidth) },
+						func(l2, h2 int64) { emit(l2, h2, CauseDependency) })
 				})
 		}
-		prev := int64(0) // step 0 is initial state; work exists from step 1
-		for _, b := range busy {
-			if b > prev+1 {
-				splitGap(prev+1, b-1)
-			}
-			prev = b
-		}
+		prev = b
+	}
+}
+
+// StallSpans derives KindStall events: every position's stall sub-spans (see
+// stallGaps), returned in (step, proc) order.
+func (a *Analysis) StallSpans() []Event {
+	var spans []Event
+	for p := range a.procBusy {
+		proc := int32(p)
+		a.stallGaps(p, func(lo, hi int64, cause Cause) {
+			spans = append(spans, Event{
+				Step: lo, Kind: KindStall, Proc: proc, Link: -1, Route: -1,
+				Dur: hi - lo + 1, Cause: cause,
+			})
+		})
 	}
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Step != spans[j].Step {
@@ -311,15 +287,6 @@ type StallBreakdown struct {
 // Stalled is the total stalled processor-steps.
 func (s StallBreakdown) Stalled() int64 { return s.Dependency + s.Bandwidth + s.Fault }
 
-// FaultShare is the fraction of stalled processor-steps attributed to
-// injected faults (0 when nothing stalled).
-func (s StallBreakdown) FaultShare() float64 {
-	if st := s.Stalled(); st > 0 {
-		return float64(s.Fault) / float64(st)
-	}
-	return 0
-}
-
 // BandwidthShare is the fraction of stalled processor-steps attributed to
 // bandwidth (0 when nothing stalled).
 func (s StallBreakdown) BandwidthShare() float64 {
@@ -329,32 +296,25 @@ func (s StallBreakdown) BandwidthShare() float64 {
 	return 0
 }
 
-// DependencyShare is the fraction of stalled processor-steps attributed to
-// dependency waiting (0 when nothing stalled).
-func (s StallBreakdown) DependencyShare() float64 {
-	if st := s.Stalled(); st > 0 {
-		return float64(s.Dependency) / float64(st)
-	}
-	return 0
-}
-
-// Stalls computes the stall-cause breakdown over the whole run.
+// Stalls computes the stall-cause breakdown over the whole run: a position
+// is idle after its last compute, and its stall sub-spans are tallied by
+// cause as stallGaps walks them.
 func (a *Analysis) Stalls() StallBreakdown {
-	sb := StallBreakdown{ProcSteps: int64(a.Info.HostN) * a.Info.HostSteps}
-	for p := 0; p < a.Info.HostN; p++ {
-		sb.Busy += int64(len(a.procBusy[p]))
-		sb.Idle += a.Info.HostSteps - a.finish[p]
-	}
-	for _, s := range a.StallSpans() {
-		switch s.Cause {
-		case CauseBandwidth:
-			sb.Bandwidth += s.Dur
-		case CauseFault:
-			sb.Fault += s.Dur
-		default:
-			sb.Dependency += s.Dur
+	procSteps := int64(a.Info.HostN) * a.Info.HostSteps
+	var stalled [CauseFault + 1]int64
+	tally := func(lo, hi int64, cause Cause) { stalled[cause] += hi - lo + 1 }
+	sb := StallBreakdown{ProcSteps: procSteps, Idle: procSteps}
+	for p, busy := range a.procBusy {
+		if len(busy) == 0 {
+			continue
 		}
+		sb.Busy += int64(len(busy))
+		sb.Idle -= busy[len(busy)-1]
+		a.stallGaps(p, tally)
 	}
+	sb.Dependency = stalled[CauseDependency]
+	sb.Bandwidth = stalled[CauseBandwidth]
+	sb.Fault = stalled[CauseFault]
 	return sb
 }
 

@@ -1,137 +1,74 @@
 package obs
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
-	"io"
 	"os"
 )
 
-// ChromeEvent is one entry of the Chrome trace-event format (the JSON shape
-// chrome://tracing, Perfetto and speedscope load). Host steps map to
-// microseconds 1:1.
-type ChromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat"`
-	Ph   string            `json:"ph"`
-	Ts   int64             `json:"ts"`
-	Dur  int64             `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	S    string            `json:"s,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-// ChromeTrace is the top-level trace-event JSON object.
-type ChromeTrace struct {
-	TraceEvents     []ChromeEvent     `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData,omitempty"`
-}
-
-// BuildChromeTrace converts the recorded stream into trace-event form: one
-// pid-0 track per workstation (tid = position) holding compute slices and
-// derived stall slices, plus instant events for link injections and
-// deliveries. Pass the result of Analysis.StallSpans as stalls, or nil to
-// omit stall slices.
-func BuildChromeTrace(events []Event, stalls []Event, info RunInfo) *ChromeTrace {
-	tr := &ChromeTrace{
-		DisplayTimeUnit: "ms",
-		OtherData: map[string]string{
-			"hostN":      fmt.Sprintf("%d", info.HostN),
-			"hostSteps":  fmt.Sprintf("%d", info.HostSteps),
-			"guestSteps": fmt.Sprintf("%d", info.GuestSteps),
-			"timeUnit":   "1us = 1 host step",
-		},
+// WriteChromeTraceFile writes the analysed run to path in the Chrome
+// trace-event format (the JSON shape chrome://tracing, Perfetto and
+// speedscope load), host steps mapped to microseconds 1:1: one pid-0 track
+// per workstation (tid = position) holding compute slices, instant events
+// for link injections and deliveries, fault slices and, after the stream,
+// the derived stall slices of Analysis.StallSpans. Each trace event goes
+// through a buffered writer as the stream is walked, so the export holds no
+// second copy of the stream.
+func WriteChromeTraceFile(path string, a *Analysis) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	for i := range events {
-		e := &events[i]
+	w := bufio.NewWriter(f)
+	writeChromeTrace(w, a)
+	// A bufio.Writer keeps its first write error and returns it here.
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeChromeTrace(w *bufio.Writer, a *Analysis) {
+	w.WriteString(`{"traceEvents":[`)
+	sep := ""
+	event := func(format string, args ...any) {
+		w.WriteString(sep)
+		sep = ","
+		fmt.Fprintf(w, format, args...)
+	}
+	for i := range a.events {
+		e := &a.events[i]
 		switch e.Kind {
 		case KindCompute:
-			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-				Name: fmt.Sprintf("compute c%d t%d", e.Col, e.GStep),
-				Cat:  "compute", Ph: "X", Ts: e.Step, Dur: 1,
-				Pid: 0, Tid: int(e.Proc),
-				Args: map[string]string{
-					"col":   fmt.Sprintf("%d", e.Col),
-					"gstep": fmt.Sprintf("%d", e.GStep),
-				},
-			})
+			event(`{"name":"compute c%[1]d t%[2]d","cat":"compute","ph":"X","ts":%[3]d,"dur":1,"pid":0,"tid":%[4]d,"args":{"col":"%[1]d","gstep":"%[2]d"}}`,
+				e.Col, e.GStep, e.Step, e.Proc)
 		case KindInject:
 			dir := "right"
 			if e.Dir < 0 {
 				dir = "left"
 			}
-			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-				Name: fmt.Sprintf("inject c%d t%d link%d %s", e.Col, e.GStep, e.Link, dir),
-				Cat:  "inject", Ph: "i", Ts: e.Step,
-				Pid: 0, Tid: int(e.Proc), S: "t",
-				Args: map[string]string{
-					"link":  fmt.Sprintf("%d", e.Link),
-					"dir":   dir,
-					"route": fmt.Sprintf("%d", e.Route),
-				},
-			})
+			event(`{"name":"inject c%[1]d t%[2]d link%[3]d %[4]s","cat":"inject","ph":"i","ts":%[5]d,"pid":0,"tid":%[6]d,"s":"t","args":{"dir":"%[4]s","link":"%[3]d","route":"%[7]d"}}`,
+				e.Col, e.GStep, e.Link, dir, e.Step, e.Proc, e.Route)
 		case KindDeliver:
-			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-				Name: fmt.Sprintf("deliver c%d t%d", e.Col, e.GStep),
-				Cat:  "deliver", Ph: "i", Ts: e.Step,
-				Pid: 0, Tid: int(e.Proc), S: "t",
-				Args: map[string]string{
-					"col":   fmt.Sprintf("%d", e.Col),
-					"gstep": fmt.Sprintf("%d", e.GStep),
-					"route": fmt.Sprintf("%d", e.Route),
-				},
-			})
+			event(`{"name":"deliver c%[1]d t%[2]d","cat":"deliver","ph":"i","ts":%[3]d,"pid":0,"tid":%[4]d,"s":"t","args":{"col":"%[1]d","gstep":"%[2]d","route":"%[5]d"}}`,
+				e.Col, e.GStep, e.Step, e.Proc, e.Route)
 		case KindFault:
 			// Host faults land on the host's track; link faults go on a
 			// dedicated pid-1 track indexed by link.
-			pid, tid := 0, int(e.Proc)
+			pid, tid := 0, e.Proc
 			if e.Proc < 0 {
-				pid, tid = 1, int(e.Link)
+				pid, tid = 1, e.Link
 			}
-			tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-				Name: "fault: " + e.Fault.String(),
-				Cat:  "fault", Ph: "X", Ts: e.Step, Dur: e.Dur,
-				Pid: pid, Tid: tid,
-				Args: map[string]string{
-					"fault": e.Fault.String(),
-					"link":  fmt.Sprintf("%d", e.Link),
-				},
-			})
+			event(`{"name":"fault: %[1]s","cat":"fault","ph":"X","ts":%[2]d,"dur":%[3]d,"pid":%[4]d,"tid":%[5]d,"args":{"fault":"%[1]s","link":"%[6]d"}}`,
+				e.Fault, e.Step, e.Dur, pid, tid, e.Link)
 		}
 	}
-	for i := range stalls {
-		e := &stalls[i]
-		if e.Kind != KindStall {
-			continue
-		}
-		tr.TraceEvents = append(tr.TraceEvents, ChromeEvent{
-			Name: "stall: " + e.Cause.String(),
-			Cat:  "stall", Ph: "X", Ts: e.Step, Dur: e.Dur,
-			Pid: 0, Tid: int(e.Proc),
-			Args: map[string]string{"cause": e.Cause.String()},
-		})
+	for _, e := range a.StallSpans() {
+		event(`{"name":"stall: %[1]s","cat":"stall","ph":"X","ts":%[2]d,"dur":%[3]d,"pid":0,"tid":%[4]d,"args":{"cause":"%[1]s"}}`,
+			e.Cause, e.Step, e.Dur, e.Proc)
 	}
-	return tr
-}
-
-// WriteChromeTrace writes the trace-event JSON to w.
-func (tr *ChromeTrace) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tr)
-}
-
-// WriteChromeTraceFile builds the trace and writes it to path.
-func WriteChromeTraceFile(path string, events []Event, stalls []Event, info RunInfo) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	tr := BuildChromeTrace(events, stalls, info)
-	if err := tr.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	info := a.Info
+	fmt.Fprintf(w, `],"displayTimeUnit":"ms","otherData":{"guestSteps":"%d","hostN":"%d","hostSteps":"%d","timeUnit":"1us = 1 host step"}}`+"\n",
+		info.GuestSteps, info.HostN, info.HostSteps)
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 
 	"latencyhide/internal/assign"
+	"latencyhide/internal/fault"
 	"latencyhide/internal/guest"
 	"latencyhide/internal/obs"
 	"latencyhide/internal/sim"
@@ -49,31 +51,54 @@ func recordedConfig(seed int64, hostN, steps, bandwidth, cps int) (sim.Config, *
 }
 
 // Property: the stall-cause breakdown tiles the run exactly — busy + idle +
-// dependency + bandwidth processor-steps equal hostN x hostSteps, and the
-// derived stall spans sum to the stalled share.
+// dependency + bandwidth + fault processor-steps equal hostN x hostSteps —
+// and the derived stall spans, summed cause by cause, equal the breakdown's
+// stalled steps. Half the cases run under an outage-plus-slowdown plan so
+// the fault cause is exercised.
 func TestStallBreakdownSumsProperty(t *testing.T) {
-	f := func(seed int64, hostSel, bwSel uint8) bool {
+	var faultSteps int64
+	f := func(seed int64, hostSel, bwSel uint8, faulted bool) bool {
 		hostN := 8 + int(hostSel%4)*4
 		bw := 1 + int(bwSel%4)
-		events, info, _ := recordedRun(t, seed, hostN, 8, bw, 1+int(bwSel%3))
-		a := obs.Analyze(events, info)
+		cfg, buf := recordedConfig(seed, hostN, 8, bw, 1+int(bwSel%3))
+		if faulted {
+			plan, err := fault.Parse(fmt.Sprintf("%d:outage=0.2x8;slow=0.2x8/0", uint16(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = plan
+		}
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := obs.Analyze(buf.Events(), cfg.ObsInfo(res))
 		sb := a.Stalls()
-		if sb.Busy+sb.Idle+sb.Dependency+sb.Bandwidth != sb.ProcSteps {
-			t.Logf("seed %d: busy %d + idle %d + dep %d + bw %d != %d",
-				seed, sb.Busy, sb.Idle, sb.Dependency, sb.Bandwidth, sb.ProcSteps)
+		if sb.Busy+sb.Idle+sb.Stalled() != sb.ProcSteps {
+			t.Logf("seed %d: busy %d + idle %d + stalled %d != %d",
+				seed, sb.Busy, sb.Idle, sb.Stalled(), sb.ProcSteps)
 			return false
 		}
-		var spanTotal int64
+		var byCause [obs.CauseFault + 1]int64
 		for _, s := range a.StallSpans() {
 			if s.Kind != obs.KindStall || s.Dur < 1 {
 				return false
 			}
-			spanTotal += s.Dur
+			byCause[s.Cause] += s.Dur
 		}
-		return spanTotal == sb.Stalled()
+		faultSteps += sb.Fault
+		if byCause[obs.CauseDependency] != sb.Dependency || byCause[obs.CauseBandwidth] != sb.Bandwidth ||
+			byCause[obs.CauseFault] != sb.Fault {
+			t.Logf("seed %d faulted %v: spans by cause %v, breakdown %+v", seed, faulted, byCause, sb)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+	if faultSteps == 0 {
+		t.Fatal("no case attributed a stalled step to a fault")
 	}
 }
 
@@ -177,7 +202,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	events, info, _ := recordedRun(t, 4, 10, 6, 2, 2)
 	a := obs.Analyze(events, info)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := obs.WriteChromeTraceFile(path, events, a.StallSpans(), info); err != nil {
+	if err := obs.WriteChromeTraceFile(path, a); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

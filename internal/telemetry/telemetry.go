@@ -32,7 +32,6 @@ package telemetry
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -312,27 +311,5 @@ func (r *Registry) ShardLabels() []string {
 	for i, s := range r.shards {
 		out[i] = s.label
 	}
-	return out
-}
-
-// Names returns every registered metric name, sorted, prefixed by kind
-// ("counter:", "gauge:", "hist:"). Used by tests and the manifest validator.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for _, n := range r.counters {
-		out = append(out, "counter:"+n)
-	}
-	for _, n := range r.gauges {
-		out = append(out, "gauge:"+n)
-	}
-	for _, n := range r.hists {
-		out = append(out, "hist:"+n)
-	}
-	sort.Strings(out)
 	return out
 }
